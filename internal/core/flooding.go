@@ -147,16 +147,43 @@ type DegreeHinter interface {
 	ExpectedDegree() float64
 }
 
+// Spreader is optionally implemented by Dynamics that can compute a
+// flooding round straight from their own state, without materializing
+// the snapshot G_t. On a geometric-MEG, I_{t+1} = I_t ∪ {v : ∃u ∈ I_t,
+// d(P_u, P_v) ≤ R} needs node positions only, so the model answers it
+// from its cell grid instead of writing every edge of G_t into a CSR.
+// Under KernelAuto, FloodOpt takes this path whenever the dynamics
+// implements it: each round calls IndexInformed and then Spread, and
+// the chain advances with Step; Graph is never called. Pinned kernels
+// keep the snapshot path, which is the reference the spread is tested
+// against.
+type Spreader interface {
+	Dynamics
+	// IndexInformed prepares Spread for the informed set I at the
+	// current time step (for a geometric model: the round's cell list
+	// and the per-cell split into informed and uninformed members).
+	IndexInformed(informed *bitset.Set)
+	// Spread appends N_{G_t}(I) \ I to newly, in any order, and
+	// returns it. I must be the set last passed to IndexInformed, with
+	// no Step or Reset in between. Spread does not modify informed.
+	Spread(informed *bitset.Set, newly []int32) []int32
+}
+
 // FloodOptions tunes the flooding engine. The zero value (KernelAuto,
 // derived threshold) is the right choice almost always.
 type FloodOptions struct {
 	// Kernel selects the per-round strategy (default KernelAuto).
+	// Under KernelAuto a dynamics that implements Spreader (the
+	// geometric models) floods from its own spatial index instead of a
+	// snapshot; pin KernelPush or KernelPull to force the snapshot
+	// kernels.
 	Kernel Kernel
 	// PullThreshold overrides the informed-set fraction at which
 	// KernelAuto switches push→pull. ≤ 0 means derive it — 1/√d̄
 	// clamped to [0.02, 0.5] — from the dynamics' DegreeHinter if
 	// implemented, else from each snapshot's average degree. Values > 1
-	// effectively pin KernelAuto to push.
+	// effectively pin KernelAuto to push. The Spreader path has no
+	// push/pull switch and ignores it.
 	PullThreshold float64
 	// Parallelism is the intra-trial worker count of the sharded
 	// engine: node space and sender lists are split into contiguous
@@ -172,7 +199,8 @@ type FloodOptions struct {
 	// maintains the snapshot incrementally from DeltaDynamics.StepDelta,
 	// rebuilding only the rows each round's churn touches. Dynamics
 	// without delta support fall back to the full path transparently;
-	// results are byte-identical either way.
+	// results are byte-identical either way. The Spreader path builds no
+	// snapshot and ignores the mode.
 	Snapshot SnapshotMode
 	// Stop, if non-nil, is polled once per round; when it returns true
 	// the run aborts immediately with Completed == false and Rounds set
@@ -212,7 +240,10 @@ func Flood(d Dynamics, source, maxRounds int) FloodResult {
 
 // FloodOpt is Flood with explicit engine options. All kernels produce
 // bit-identical FloodResults on the same dynamics state and RNG stream
-// (the kernels never draw randomness; only the dynamics does).
+// (the kernels never draw randomness; only the dynamics does). Under
+// KernelAuto a Spreader dynamics computes each round from its own state
+// and no snapshot is built; only that step differs, the round
+// bookkeeping is shared.
 func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 	n := d.N()
 	if source < 0 || source >= n {
@@ -246,10 +277,19 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 		}
 	}
 	workers := engineWorkers(opt.Parallelism, d)
-	snap := newSnapshotter(d, opt.Snapshot, workers, opt.Hook)
+	// The Spreader path replaces the snapshot and the kernel choice
+	// outright; its chain advance is a plain Step.
+	sp, _ := d.(Spreader)
+	mode := opt.Snapshot
+	if opt.Kernel != KernelAuto {
+		sp = nil
+	} else if sp != nil {
+		mode = SnapshotFull
+	}
+	snap := newSnapshotter(d, mode, workers, opt.Hook)
 	defer snap.release()
 	var eng *shardEngine
-	if workers > 1 {
+	if workers > 1 && sp == nil {
 		eng = newShardEngine(n, workers)
 		eng.hook = opt.Hook
 	}
@@ -275,15 +315,28 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 		if opt.Stop != nil && opt.Stop() {
 			break
 		}
-		g := snap.graph()
+		var g *graph.Graph
+		if sp != nil {
+			if h != nil {
+				h.BeginPhase(PhaseSnapshot)
+			}
+			sp.IndexInformed(informed)
+			if h != nil {
+				h.EndPhase(PhaseSnapshot)
+			}
+		} else {
+			g = snap.graph()
+		}
 		if h != nil {
 			h.BeginPhase(PhaseKernel)
 		}
 		pull := false
-		switch opt.Kernel {
-		case KernelPull:
+		switch {
+		case sp != nil:
+			// no snapshot, no direction choice
+		case opt.Kernel == KernelPull:
 			pull = true
-		case KernelPush:
+		case opt.Kernel == KernelPush:
 			// never pull
 		default:
 			th := thresh
@@ -293,7 +346,13 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 			pull = float64(len(senders)) >= th*float64(n)
 		}
 		newly = newly[:0]
-		if pull {
+		if sp != nil {
+			newly = sp.Spread(informed, newly)
+			for _, v := range newly {
+				informed.Add(int(v))
+				arrival[v] = int32(t + 1)
+			}
+		} else if pull {
 			if !rowsProbed {
 				rowsProbed = true
 				// Arm the active set's skip layer where a row-change

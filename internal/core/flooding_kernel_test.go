@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -78,25 +79,58 @@ func TestKernelEquivalenceEdge(t *testing.T) {
 	}
 }
 
-// TestKernelEquivalenceGeom is the geometric-MEG counterpart, covering
-// the model whose snapshots come from mobile node positions.
-func TestKernelEquivalenceGeom(t *testing.T) {
+// geomEquivalenceCases are the geometric-MEG shapes the spatial
+// (Spreader) path must handle exactly like the CSR kernels: the box and
+// the torus, brute-force grids (fewer than 3 cells per axis), a
+// clustered start that stacks many nodes on one lattice point, the
+// lazy walk, and non-unit densities.
+func geomEquivalenceCases() map[string]geommeg.Config {
 	n := 400
 	radius := 2 * math.Sqrt(math.Log(float64(n)))
-	cfg := geommeg.Config{N: n, R: radius, MoveRadius: radius / 2}
-	for seed := uint64(1); seed <= 3; seed++ {
-		ref := FloodResult{}
-		first := true
-		for name, opt := range kernelVariants() {
-			m := geommeg.MustNew(cfg)
-			m.Reset(rng.New(seed))
-			res := FloodOpt(m, 0, DefaultRoundCap(n), opt)
-			if first {
-				ref = res
-				first = false
-				continue
+	base := geommeg.Config{N: n, R: radius, MoveRadius: radius / 2}
+	with := func(edit func(*geommeg.Config)) geommeg.Config {
+		c := base
+		edit(&c)
+		return c
+	}
+	return map[string]geommeg.Config{
+		"box":         base,
+		"torus":       with(func(c *geommeg.Config) { c.Torus = true }),
+		"brute":       {N: 200, R: 6, MoveRadius: 3},
+		"brute-torus": {N: 60, R: 4, MoveRadius: 2, Torus: true},
+		"clustered":   with(func(c *geommeg.Config) { c.Init = geommeg.InitClustered }),
+		"lazy":        with(func(c *geommeg.Config) { c.Jump = 0.1 }),
+		"lazy-torus":  with(func(c *geommeg.Config) { c.Jump = 0.05; c.Torus = true }),
+		"dense":       with(func(c *geommeg.Config) { c.Density = 4; c.R = 2 * math.Sqrt(math.Log(float64(n))/4) }),
+		"sparse":      with(func(c *geommeg.Config) { c.Density = 0.5 }),
+	}
+}
+
+// TestKernelEquivalenceGeom is the geometric-MEG counterpart, covering
+// the model whose snapshots come from mobile node positions. Under
+// KernelAuto the model floods through its cell grid (core.Spreader);
+// the pinned kernels build CSR snapshots, so every case cross-checks
+// the spatial path against both CSR kernels at several worker counts.
+func TestKernelEquivalenceGeom(t *testing.T) {
+	for name, cfg := range geomEquivalenceCases() {
+		if _, ok := Dynamics(geommeg.MustNew(cfg)).(Spreader); !ok {
+			t.Fatalf("%s: geommeg.Model does not implement Spreader", name)
+		}
+		for seed := uint64(1); seed <= 3; seed++ {
+			run := func(opt FloodOptions) FloodResult {
+				m := geommeg.MustNew(cfg)
+				m.Reset(rng.New(seed))
+				return FloodOpt(m, int(seed)%cfg.N, DefaultRoundCap(cfg.N), opt)
 			}
-			sameResult(t, name, res, ref)
+			ref := run(FloodOptions{Kernel: KernelPush})
+			for variant, opt := range kernelVariants() {
+				for _, p := range []int{1, 2, 8} {
+					opt.Parallelism = p
+					sameResult(t, fmt.Sprintf("%s seed %d %s P%d", name, seed, variant, p), run(opt), ref)
+				}
+			}
+			opt := FloodOptions{Snapshot: SnapshotDelta}
+			sameResult(t, fmt.Sprintf("%s seed %d auto/delta", name, seed), run(opt), ref)
 		}
 	}
 }

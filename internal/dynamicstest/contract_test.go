@@ -7,33 +7,60 @@ import (
 	"meg/internal/spec"
 )
 
-// TestGraphContractAllModels runs the aliasing/delta conformance check
-// for every model the spec factory knows, at a size small enough to
-// exercise many steps, plus the lazy lattice variants whose low-churn
-// rounds are the incremental path's home turf.
-func TestGraphContractAllModels(t *testing.T) {
-	cases := []struct {
-		name string
-		m    spec.Model
-	}{
-		{"geometric", spec.Model{Name: "geometric", N: 300, RFrac: 0.5}},
-		{"geometric-lazy", spec.Model{Name: "geometric", N: 300, RFrac: 0.5, Jump: 0.1}},
-		{"torus", spec.Model{Name: "torus", N: 300, RFrac: 0.5}},
-		{"torus-lazy", spec.Model{Name: "torus", N: 300, RFrac: 0.3, Jump: 0.05}},
-		{"edge", spec.Model{Name: "edge", N: 300}},
-		{"edge-lowchurn", spec.Model{Name: "edge", N: 300, PhatMult: 2, Q: 0.02}},
-		{"waypoint", spec.Model{Name: "waypoint", N: 250, RFrac: 0.5}},
-		{"billiard", spec.Model{Name: "billiard", N: 250, RFrac: 0.5}},
-		{"walkers", spec.Model{Name: "walkers", N: 250, RFrac: 0.5}},
-		{"iiddisk", spec.Model{Name: "iiddisk", N: 250, RFrac: 0.5}},
+// modelCases covers every model the spec factory knows, at a size
+// small enough to exercise many steps, plus the lazy lattice variants
+// whose low-churn rounds are the incremental path's home turf and a
+// geometric grid small enough for the brute-force pair scan.
+var modelCases = []struct {
+	name string
+	m    spec.Model
+}{
+	{"geometric", spec.Model{Name: "geometric", N: 300, RFrac: 0.5}},
+	{"geometric-lazy", spec.Model{Name: "geometric", N: 300, RFrac: 0.5, Jump: 0.1}},
+	{"torus", spec.Model{Name: "torus", N: 300, RFrac: 0.5}},
+	{"torus-lazy", spec.Model{Name: "torus", N: 300, RFrac: 0.3, Jump: 0.05}},
+	{"edge", spec.Model{Name: "edge", N: 300}},
+	{"edge-lowchurn", spec.Model{Name: "edge", N: 300, PhatMult: 2, Q: 0.02}},
+	{"waypoint", spec.Model{Name: "waypoint", N: 250, RFrac: 0.5}},
+	{"billiard", spec.Model{Name: "billiard", N: 250, RFrac: 0.5}},
+	{"walkers", spec.Model{Name: "walkers", N: 250, RFrac: 0.5}},
+	{"iiddisk", spec.Model{Name: "iiddisk", N: 250, RFrac: 0.5}},
+	{"geometric-brute", spec.Model{Name: "geometric", N: 40, Mult: 3, RFrac: 0.5}},
+}
+
+func modelFactory(t *testing.T, name string, m spec.Model) func() core.Dynamics {
+	t.Helper()
+	s := spec.Spec{Model: m}
+	factory, _, err := s.NewFactory()
+	if err != nil {
+		t.Fatalf("%s: NewFactory: %v", name, err)
 	}
-	for _, tc := range cases {
-		s := spec.Spec{Model: tc.m}
-		factory, _, err := s.NewFactory()
-		if err != nil {
-			t.Fatalf("%s: NewFactory: %v", tc.name, err)
+	return factory
+}
+
+// TestGraphContractAllModels runs the aliasing/delta conformance check
+// for every model case.
+func TestGraphContractAllModels(t *testing.T) {
+	for _, tc := range modelCases {
+		CheckGraphContract(t, tc.name, modelFactory(t, tc.name, tc.m), 97, 12)
+	}
+}
+
+// TestSpreadContractAllModels runs the snapshot-free spread check for
+// every model case that implements core.Spreader, over a 10-step chain.
+func TestSpreadContractAllModels(t *testing.T) {
+	for _, tc := range modelCases {
+		CheckSpreadContract(t, tc.name, modelFactory(t, tc.name, tc.m), 97, 10)
+	}
+}
+
+// TestSpreaderModels pins which factory models flood without a
+// snapshot, so the spread check above is never vacuous for them.
+func TestSpreaderModels(t *testing.T) {
+	for _, name := range []string{"geometric", "torus"} {
+		if _, ok := modelFactory(t, name, spec.Model{Name: name, N: 128, RFrac: 0.5})().(core.Spreader); !ok {
+			t.Errorf("%s: does not implement core.Spreader", name)
 		}
-		CheckGraphContract(t, tc.name, factory, 97, 12)
 	}
 }
 

@@ -3,14 +3,18 @@
 // returned snapshot is only valid until the next Step/Reset, so models
 // may reuse buffers — and engines must copy what they keep), and, for
 // delta-capable models, the equivalence of the incremental StepDelta
-// path with the full rebuild. These contracts are what keep
-// graph.Mutable's row reuse safe, so they are guarded here for all
-// models rather than ad hoc per package.
+// path with the full rebuild, and, for models that flood without a
+// snapshot (core.Spreader), the equivalence of their spread with the
+// snapshot's neighborhoods. These contracts are what keep
+// graph.Mutable's row reuse and the snapshot-free flooding path safe,
+// so they are guarded here for all models rather than ad hoc per
+// package.
 package dynamicstest
 
 import (
 	"testing"
 
+	"meg/internal/bitset"
 	"meg/internal/core"
 	"meg/internal/graph"
 	"meg/internal/rng"
@@ -106,4 +110,69 @@ func CheckGraphContract(t *testing.T, name string, factory func() core.Dynamics,
 	}
 	// The model's own full rebuild must agree with its delta stream.
 	rowsEqual(t, name+": model Graph() after StepDelta", c.Graph(), copies[steps])
+}
+
+// CheckSpreadContract verifies the core.Spreader contract of a dynamics
+// that implements it (and does nothing otherwise): at every step of a
+// steps-long chain, Spread(I) must be exactly N_{G_t}(I) \ I, with the
+// neighborhood read off Graph(), for I ∈ {∅, {s}, a seeded random half,
+// all but one node, all nodes}.
+func CheckSpreadContract(t *testing.T, name string, factory func() core.Dynamics, seed uint64, steps int) {
+	t.Helper()
+	d := factory()
+	sp, ok := d.(core.Spreader)
+	if !ok {
+		return
+	}
+	n := d.N()
+	r := rng.New(seed ^ 0x5b7ead)
+	d.Reset(rng.New(seed))
+	for s := 0; s <= steps; s++ {
+		single := bitset.New(n)
+		single.Add(s % n)
+		half := bitset.New(n)
+		for v := 0; v < n; v++ {
+			if r.Bool() {
+				half.Add(v)
+			}
+		}
+		allButOne := bitset.New(n)
+		allButOne.Fill()
+		allButOne.Remove(r.Intn(n))
+		all := bitset.New(n)
+		all.Fill()
+		g := d.Graph()
+		for _, set := range []struct {
+			label string
+			I     *bitset.Set
+		}{{"empty", bitset.New(n)}, {"single", single}, {"half", half}, {"all-but-one", allButOne}, {"all", all}} {
+			want := bitset.New(n)
+			set.I.ForEach(func(u int) {
+				for _, v := range g.Neighbors(u) {
+					if !set.I.Contains(int(v)) {
+						want.Add(int(v))
+					}
+				}
+			})
+			before := set.I.Clone()
+			sp.IndexInformed(set.I)
+			newly := sp.Spread(set.I, nil)
+			got := bitset.New(n)
+			for _, v := range newly {
+				if got.Contains(int(v)) {
+					t.Fatalf("%s: step %d, I=%s: Spread listed node %d twice", name, s, set.label, v)
+				}
+				got.Add(int(v))
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s: step %d, I=%s: Spread found %d nodes, N(I)\\I has %d", name, s, set.label, got.Count(), want.Count())
+			}
+			if !set.I.Equal(before) {
+				t.Fatalf("%s: step %d, I=%s: Spread modified the informed set", name, s, set.label)
+			}
+		}
+		if s < steps {
+			d.Step()
+		}
+	}
 }

@@ -187,13 +187,18 @@ func Run(factory Factory, opt Options) Campaign {
 // together with ctx.Err(). A completed campaign is identical to Run's
 // for the same options.
 func RunContext(ctx context.Context, factory Factory, opt Options) (Campaign, error) {
+	// The model built to read n serves as trial 0's dynamics; every
+	// trial Resets its dynamics before use, so reuse is invisible.
 	probe := factory()
 	n := probe.N()
 	opt = opt.withDefaults(n)
 
 	stop := func() bool { return ctx.Err() != nil }
 	trials, err := sweep.RepeatCtx(ctx, opt.Trials, opt.Seed, opt.Workers, func(rep int, r *rng.RNG) Trial {
-		d := factory()
+		d := probe
+		if rep != 0 {
+			d = factory()
+		}
 		sources := make([]int, opt.SourcesPerTrial)
 		// First source fixed for comparability; the rest sampled.
 		for i := 1; i < len(sources); i++ {

@@ -78,6 +78,10 @@ type Model struct {
 	oldNodeCell    []int32
 	movedMark      []bool
 	classifier     celldelta.Classifier
+
+	// spread is the snapshot-free flooding round's scratch
+	// (core.Spreader), allocated on first use.
+	spread spreadIndex
 }
 
 // New returns a model for the given configuration. The model is not
@@ -199,6 +203,7 @@ func (m *Model) Reset(r *rng.RNG) {
 	m.t = 0
 	m.dirty = true
 	m.cellsValid = false
+	m.spread.ready = false
 }
 
 // sampleStationaryPos draws one position from π(x) ∝ |Γ(x)| by
@@ -233,6 +238,7 @@ func (m *Model) Step() {
 		panic("geommeg: Step before Reset")
 	}
 	m.advance()
+	m.spread.ready = false
 	if len(m.movedNodes) > 0 {
 		m.dirty = true
 		m.cellsValid = false
@@ -324,6 +330,7 @@ func (m *Model) StepDelta() graph.Delta {
 	copy(m.prevIx, m.ix)
 	copy(m.prevIy, m.iy)
 	m.advance()
+	m.spread.ready = false
 	if !m.bruteForce {
 		m.buildCells()
 	}

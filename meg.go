@@ -85,7 +85,11 @@ const (
 // (core.DegreeHinter), else from each snapshot. Set PullThreshold to
 // move the switch point, Kernel to pin a strategy outright, or
 // Parallelism to run the sharded engine — results are byte-identical
-// for every worker count.
+// for every worker count. Under KernelAuto the geometric models flood
+// without snapshots: each round asks "is an informed node within R?"
+// of the cell grid the model rebuilds anyway, so PullThreshold and
+// Snapshot are ignored there. Pin KernelPush or KernelPull to run the
+// snapshot kernels; results are byte-identical either way.
 type FloodOptions = core.FloodOptions
 
 // MultiOptions tunes FloodMultiOpt (cancellation, progress, and the
