@@ -11,9 +11,10 @@ import (
 )
 
 // runSuite executes the benchmark trajectory suite and writes
-// BENCH_<git-sha>.json into outDir. The process exits non-zero when the
-// sharded engine's results diverge from the serial engine's on the same
-// seeds — the file is still written first, so CI can upload the
+// BENCH_<git-sha>.json into outDir. The process exits non-zero when a
+// scenario's sharded variant diverges from its serial one (the same
+// engine on one shard, or the reference/full-rebuild baseline) on the
+// same seeds — the file is still written first, so CI can upload the
 // evidence alongside the failure. With compareDir set, the run is also
 // diffed against the newest BENCH file there (the bench/history
 // trajectory) and a regression table printed on stdout — warnings

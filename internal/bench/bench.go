@@ -1,11 +1,12 @@
 // Package bench is the benchmark trajectory recorder: a fixed suite of
-// named flooding scenarios, each run with the serial and the sharded
-// engine on the same seeds, timed, and emitted as a schema-versioned
+// named flooding scenarios, each run on the same seeds as a "serial"
+// variant (the engine on one shard) and a "sharded" variant (the same
+// engine on every worker), timed, and emitted as a schema-versioned
 // BENCH_<git-sha>.json. CI runs the suite on every push and uploads the
 // file as an artifact, so the repository accumulates a measured speed
-// trajectory instead of anecdotes — and because serial and sharded
-// variants must produce byte-identical flooding results, the suite
-// doubles as the cross-kernel divergence gate.
+// trajectory instead of anecdotes — and because both variants must
+// produce byte-identical flooding results, the suite doubles as the
+// shard-count divergence gate.
 package bench
 
 import (
@@ -35,8 +36,8 @@ const SchemaVersion = 1
 
 // Scenario is one named workload of the suite. Spec carries the model,
 // trial, source, and engine configuration; the runner executes it once
-// with Parallelism 1 (serial baseline) and once with the sharded
-// engine, asserting byte-identical results.
+// with Parallelism 1 (the one-shard "serial" baseline) and once on
+// every worker, asserting byte-identical results.
 type Scenario struct {
 	// Name is the stable scenario identifier (the trajectory key).
 	Name string `json:"name"`
@@ -59,9 +60,9 @@ type Scenario struct {
 // geometric run (the bit-parallel estimator), and the gossip-family
 // protocols (push, push-pull, lossy) — for those the serial baseline is
 // the per-node reference implementation and the sharded run is the
-// bitset kernel engine, so the speedup column records the protocol
-// engine's gain and the checksum gate doubles as the reference-vs-
-// kernel equivalence check.
+// bitset kernel engine on every worker, so the speedup column records
+// the protocol engine's gain and the checksum gate doubles as the
+// reference-vs-kernel equivalence check.
 func Suite() []Scenario {
 	geom := func(n int) spec.Spec {
 		return spec.Spec{
@@ -135,7 +136,8 @@ func Suite() []Scenario {
 
 // Variant is one timed execution of a scenario.
 type Variant struct {
-	// Variant is "serial" or "sharded".
+	// Variant is "serial" (Parallelism 1: the engine on one shard) or
+	// "sharded" (the same engine on every worker).
 	Variant string `json:"variant"`
 	// Engine identifies the implementation for protocol scenarios:
 	// "reference" (serial baseline) or "kernel" (sharded run). Empty for
@@ -310,7 +312,8 @@ func RunScenarios(scenarios []Scenario, opts Options) (*File, error) {
 }
 
 // runVariant executes one (scenario, parallelism) pair and measures it.
-// Flooding scenarios time the flooding engine serially vs sharded; for
+// Flooding scenarios time the flooding engine on one shard vs on every
+// worker; for
 // gossip-family protocol scenarios the serial baseline runs the
 // internal/protocol reference implementation and the sharded run the
 // bitset kernel engine; for delta scenarios the serial baseline pins

@@ -189,10 +189,11 @@ type FloodOptions struct {
 	// engine: node space and sender lists are split into contiguous
 	// shards, each worker writes a private frontier word-range, and the
 	// per-round merge applies shard outputs in shard order — so the
-	// FloodResult is byte-identical for every value, including 1.
-	// 0 or 1 runs the plain serial kernels; < 0 uses all CPUs. If the
-	// dynamics implements Parallelizable it is handed the same worker
-	// count for its snapshot builds.
+	// FloodResult is byte-identical for every value. 0 or 1 runs the
+	// same engine as one shard; < 0 uses all CPUs. If the dynamics
+	// implements Parallelizable it is handed the same worker count for
+	// its snapshot builds. On the Spreader path the spread itself is
+	// serial and the workers go to the dynamics' own step.
 	Parallelism int
 	// Snapshot selects the per-round snapshot path: SnapshotFull (the
 	// default) rebuilds via Dynamics.Graph every round, SnapshotDelta
@@ -289,7 +290,7 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 	snap := newSnapshotter(d, mode, workers, opt.Hook)
 	defer snap.release()
 	var eng *shardEngine
-	if workers > 1 && sp == nil {
+	if sp == nil {
 		eng = newShardEngine(n, workers)
 		eng.hook = opt.Hook
 	}
@@ -302,7 +303,6 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 	st, isStatic := d.(*Static)
 	var rows *graph.DenseRows
 	rowsProbed := false
-	var uninf activeSet
 	// senders holds exactly the nodes of I_t; nodes discovered during
 	// round t are appended only after the round completes, enforcing
 	// the paper's synchronous semantics (a node informed at step t does
@@ -360,18 +360,15 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 				// delta path compares the Mutable's per-row epoch stamps
 				// inline, and the full dynamic path leaves the layer off
 				// (rows may change arbitrarily per round).
-				act := &uninf
-				if eng != nil {
-					act = &eng.uninf
-				}
+				act := &eng.uninf
 				if isStatic {
 					if denseRowsWorthwhile(st.G) {
-						rows = graph.NewDenseRowsParallel(st.G, workers)
+						rows = graph.NewDenseRows(st.G, workers)
 					}
 					act.skipOn = true
 				} else if mut := snap.mutable(); mut != nil {
 					if denseRowsWorthwhile(g) {
-						rows = graph.NewDenseRowsParallel(g, workers)
+						rows = graph.NewDenseRows(g, workers)
 						mut.SetDenseRows(rows)
 					}
 					act.skipOn = true
@@ -379,23 +376,9 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 					act.epoch = mut.Epoch
 				}
 			}
-			if eng != nil {
-				newly = eng.pullRound(g, rows, informed, arrival, t, newly, n-len(senders))
-			} else {
-				newly = pullRound(g, rows, informed, arrival, t, newly, &uninf, n-len(senders))
-			}
-		} else if eng != nil {
-			newly = eng.pushRound(g, senders, informed, arrival, t, newly)
+			newly = eng.pullRound(g, rows, informed, arrival, t, newly, n-len(senders))
 		} else {
-			for _, u := range senders {
-				for _, v := range g.Neighbors(int(u)) {
-					if !informed.Contains(int(v)) {
-						informed.Add(int(v))
-						arrival[v] = int32(t + 1)
-						newly = append(newly, v)
-					}
-				}
-			}
+			newly = eng.pushRound(g, senders, informed, arrival, t, newly)
 		}
 		if h != nil {
 			h.EndPhase(PhaseKernel)
@@ -417,103 +400,6 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 	}
 	res.Rounds = maxRounds
 	return res
-}
-
-// pullRound computes one round of I_{t+1} = I_t ∪ N(I_t) from the
-// receivers' side: every uninformed node scans its own adjacency for an
-// informed neighbor, stopping at the first hit. Nodes discovered this
-// round are recorded in newly and added to informed only after the
-// sweep, so the informed words seen during the scan are exactly I_t —
-// the same synchronous semantics the push kernel enforces via its
-// senders list. The uninformed side is enumerated word-parallel from
-// the complement of the informed bitset while it is large, and from the
-// shrinking active-set list once the run crosses into the straggler
-// regime; both visit the same nodes in the same ascending order, so the
-// result is byte-identical either way. With rows non-nil the membership
-// scan is a word-parallel row∧informed intersection instead of a CSR
-// walk. Once the list is active and the snapshot's row-change oracle is
-// available (see activeSet), steady rounds probe only the nodes the
-// previous frontier or the churn actually touched — skipped nodes are
-// provably still uninformed, so arrivals are unchanged.
-func pullRound(g *graph.Graph, rows *graph.DenseRows, informed *bitset.Set, arrival []int32, t int, newly []int32, act *activeSet, uninformed int) []int32 {
-	words := informed.Words()
-	n := informed.Len()
-	if act.enabled(words, n, uninformed) {
-		if act.skipping() {
-			// Slice headers hoisted out of the loops: the walk over the
-			// list is the whole cost of a stalled straggler round, and
-			// the element writes below keep the compiler from caching
-			// fields of act across iterations on its own.
-			marks := act.marks
-			if act.stamps == nil {
-				// Static snapshot: rows never change, so the only
-				// candidates are neighbors of the previous frontier.
-				for _, v := range act.nodes {
-					if !marks[v] {
-						continue
-					}
-					marks[v] = false
-					if pullHit(g, rows, words, informed, int(v)) {
-						arrival[v] = int32(t + 1)
-						newly = append(newly, v)
-					}
-				}
-			} else {
-				stamps, epoch := act.stamps, act.epoch()
-				for _, v := range act.nodes {
-					if !marks[v] && stamps[v] != epoch {
-						continue
-					}
-					marks[v] = false
-					if pullHit(g, rows, words, informed, int(v)) {
-						arrival[v] = int32(t + 1)
-						newly = append(newly, v)
-					}
-				}
-			}
-		} else {
-			for _, v := range act.nodes {
-				if pullHit(g, rows, words, informed, int(v)) {
-					arrival[v] = int32(t + 1)
-					newly = append(newly, v)
-				}
-			}
-		}
-		for _, v := range newly {
-			informed.Add(int(v))
-		}
-		act.markNeighbors(g, newly)
-		if len(newly) > 0 {
-			// A round with no discoveries leaves the list untouched —
-			// skipping the compaction walk keeps stalled straggler
-			// rounds at O(candidates) instead of O(|list|).
-			act.compact(words)
-		}
-		return newly
-	}
-	for wi, w := range words {
-		rem := ^w
-		if rem == 0 {
-			continue
-		}
-		base := wi * 64
-		for rem != 0 {
-			b := bits.TrailingZeros64(rem)
-			rem &= rem - 1
-			v := base + b
-			if v >= n {
-				break
-			}
-			if pullHit(g, rows, words, informed, v) {
-				arrival[v] = int32(t + 1)
-				newly = append(newly, int32(v))
-			}
-		}
-	}
-	for _, v := range newly {
-		informed.Add(int(v))
-	}
-	return newly
 }
 
 // pullHit reports whether uninformed node v has an informed neighbor

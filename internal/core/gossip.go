@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 
 	"meg/internal/bitset"
@@ -67,20 +66,20 @@ func ParseGossip(name string) (GossipProtocol, error) {
 	}
 }
 
-// GossipOptions tunes a Gossip run. The zero value runs push gossip
-// semantics-compatible defaults serially.
+// GossipOptions tunes a Gossip run. The zero value runs one shard of
+// the sharded engine on full snapshots.
 type GossipOptions struct {
 	// Beta is GossipProbFlood's forwarding probability in (0, 1].
 	Beta float64
 	// Loss is GossipLossyFlood's per-message loss probability in [0, 1).
 	Loss float64
 	// Parallelism is the intra-run worker count of the sharded engine
-	// (0 or 1 = serial, < 0 = all CPUs). Because every random decision
-	// is keyed by (node, round) — never by iteration order — the
-	// GossipResult is byte-identical for every value, including 1, and
-	// matches the reference implementations in internal/protocol on the
-	// same seeds. A Parallelizable dynamics receives the same worker
-	// count for its snapshot builds.
+	// (0 or 1 = one shard, < 0 = all CPUs). Because every random
+	// decision is keyed by (node, round) — never by iteration order —
+	// the GossipResult is byte-identical for every value and matches
+	// the reference implementations in internal/protocol on the same
+	// seeds. A Parallelizable dynamics receives the same worker count
+	// for its snapshot builds.
 	Parallelism int
 	// Snapshot selects the per-round snapshot path (full rebuild vs
 	// incremental delta maintenance), with transparent fallback for
@@ -193,14 +192,8 @@ func Gossip(d Dynamics, proto GossipProtocol, source, maxRounds int, r *rng.RNG,
 	workers := engineWorkers(opt.Parallelism, d)
 	snap := newSnapshotter(d, opt.Snapshot, workers, opt.Hook)
 	defer snap.release()
-	var eng *gossipEngine
-	if workers > 1 {
-		eng = newGossipEngine(n, workers)
-		eng.hook = opt.Hook
-	}
-	// uninf is the serial lossy kernel's shrinking uninformed list (the
-	// sharded engine carries its own inside shardEngine).
-	var uninf activeSet
+	eng := newGossipEngine(n, workers)
+	eng.hook = opt.Hook
 	// senders holds exactly the informed set in discovery order; for
 	// probabilistic flooding, active holds the subset still forwarding
 	// (its own buffer — it is rewritten every round while senders grows).
@@ -212,12 +205,6 @@ func Gossip(d Dynamics, proto GossipProtocol, source, maxRounds int, r *rng.RNG,
 	}
 	count := 1
 	newly := make([]int32, 0, 256)
-	// frontier is the serial kernels' private mark buffer for rounds
-	// whose decisions read the round-start informed set (push-pull).
-	var frontier []uint64
-	if eng == nil {
-		frontier = make([]uint64, (n+63)/64)
-	}
 
 	h := opt.Hook
 	for t := 0; ; t++ {
@@ -231,31 +218,17 @@ func Gossip(d Dynamics, proto GossipProtocol, source, maxRounds int, r *rng.RNG,
 		}
 		switch proto {
 		case GossipPush:
-			if eng != nil {
-				newly = eng.pushGossipRound(g, senders, informed, arrival, base, t, newly, &res.Messages)
-			} else {
-				newly = pushGossipRound(g, senders, informed, arrival, base, t, newly, &res.Messages)
-			}
+			newly = eng.pushGossipRound(g, senders, informed, arrival, base, t, newly, &res.Messages)
 		case GossipPushPull:
-			if eng != nil {
-				newly = eng.pushPullRound(g, informed, arrival, base, t, newly, &res.Messages)
-			} else {
-				newly = pushPullRound(g, frontier, informed, arrival, base, t, newly, &res.Messages)
-			}
+			newly = eng.pushPullRound(g, informed, arrival, base, t, newly, &res.Messages)
 		case GossipProbFlood:
+			// The active nodes transmit to their whole neighborhoods: the
+			// flooding push kernel over the active list.
 			res.Messages += degreeSum(g, active)
-			if eng != nil {
-				newly = eng.pushRound(g, active, informed, arrival, t, newly)
-			} else {
-				newly = probFloodRound(g, active, informed, arrival, t, newly)
-			}
+			newly = eng.pushRound(g, active, informed, arrival, t, newly)
 		case GossipLossyFlood:
 			res.Messages += degreeSum(g, senders)
-			if eng != nil {
-				newly = eng.lossyRound(g, informed, arrival, base, t, opt.Loss, newly, n-count)
-			} else {
-				newly = lossyRound(g, informed, arrival, base, t, opt.Loss, newly, &uninf, n-count)
-			}
+			newly = eng.lossyRound(g, informed, arrival, base, t, opt.Loss, newly, n-count)
 		}
 		if proto == GossipProbFlood {
 			// Freshly informed nodes decide once whether they forward,
@@ -310,129 +283,6 @@ func degreeSum(g *graph.Graph, nodes []int32) int64 {
 	return sum
 }
 
-// pushGossipRound is the serial push-gossip kernel: every sender draws
-// one uniformly random neighbor from its (node, round) stream and
-// transmits; uninformed targets join the informed set. Marking during
-// the scan is safe — push decisions never read the informed set, and
-// senders are extended only at the round boundary.
-func pushGossipRound(g *graph.Graph, senders []int32, informed *bitset.Set, arrival []int32, base uint64, t int, newly []int32, messages *int64) []int32 {
-	words := informed.MutableWords()
-	for _, u := range senders {
-		nbrs := g.Neighbors(int(u))
-		if len(nbrs) == 0 {
-			continue
-		}
-		*messages++
-		lr := rng.At(base, uint64(u), uint64(t))
-		v := nbrs[lr.Intn(len(nbrs))]
-		if words[v>>6]&(1<<(uint(v)&63)) == 0 {
-			words[v>>6] |= 1 << (uint(v) & 63)
-			arrival[v] = int32(t + 1)
-			newly = append(newly, v)
-		}
-	}
-	return newly
-}
-
-// pushPullRound is the serial push-pull kernel. Both directions read
-// the round-start informed set, so discoveries are buffered in the
-// frontier bitmap and merged only after the scan — the same synchrony
-// the reference enforces with its next bitset.
-func pushPullRound(g *graph.Graph, frontier []uint64, informed *bitset.Set, arrival []int32, base uint64, t int, newly []int32, messages *int64) []int32 {
-	words := informed.MutableWords()
-	n := informed.Len()
-	for u := 0; u < n; u++ {
-		nbrs := g.Neighbors(u)
-		if len(nbrs) == 0 {
-			continue
-		}
-		lr := rng.At(base, uint64(u), uint64(t))
-		v := int(nbrs[lr.Intn(len(nbrs))])
-		*messages++
-		if words[u>>6]&(1<<(uint(u)&63)) != 0 {
-			if words[v>>6]&(1<<(uint(v)&63)) == 0 {
-				frontier[v>>6] |= 1 << (uint(v) & 63)
-			}
-		} else if words[v>>6]&(1<<(uint(v)&63)) != 0 {
-			frontier[u>>6] |= 1 << (uint(u) & 63)
-		}
-	}
-	return mergeWords(frontier, words, arrival, t, newly)
-}
-
-// probFloodRound is the serial probabilistic-flood discovery pass: the
-// active nodes transmit to their whole neighborhoods (message count is
-// accounted by the caller via degreeSum). It is exactly the flooding
-// push kernel over the active list.
-func probFloodRound(g *graph.Graph, active []int32, informed *bitset.Set, arrival []int32, t int, newly []int32) []int32 {
-	words := informed.MutableWords()
-	for _, u := range active {
-		for _, v := range g.Neighbors(int(u)) {
-			if words[v>>6]&(1<<(uint(v)&63)) == 0 {
-				words[v>>6] |= 1 << (uint(v) & 63)
-				arrival[v] = int32(t + 1)
-				newly = append(newly, v)
-			}
-		}
-	}
-	return newly
-}
-
-// lossyRound is the serial lossy-flood kernel, receiver-driven: every
-// uninformed node scans its adjacency for informed neighbors, drawing
-// the fate of each arriving copy from its own (node, round) stream and
-// stopping at the first delivery. The informed set is only read during
-// the scan; hits are applied after it, preserving synchrony. The
-// uninformed side is enumerated word-parallel from the informed
-// complement while large, and from the shrinking active-set list in
-// the straggler regime — same nodes, same ascending order, and every
-// delivery decision is keyed by (node, round), so the result is
-// byte-identical either way.
-func lossyRound(g *graph.Graph, informed *bitset.Set, arrival []int32, base uint64, t int, loss float64, newly []int32, act *activeSet, uninformed int) []int32 {
-	words := informed.MutableWords()
-	n := informed.Len()
-	start := len(newly)
-	if act.enabled(words, n, uninformed) {
-		for _, v := range act.nodes {
-			if scanLossy(g, words, int(v), base, t, loss) {
-				arrival[v] = int32(t + 1)
-				newly = append(newly, v)
-			}
-		}
-		for _, v := range newly[start:] {
-			words[v>>6] |= 1 << (uint(v) & 63)
-		}
-		if len(newly) > start {
-			// No deliveries → the list is unchanged; skip compaction.
-			act.compact(words)
-		}
-		return newly
-	}
-	for wi, w := range words {
-		rem := ^w
-		if rem == 0 {
-			continue
-		}
-		wbase := wi * 64
-		for rem != 0 {
-			b := bits.TrailingZeros64(rem)
-			rem &= rem - 1
-			v := wbase + b
-			if v >= n {
-				break
-			}
-			if scanLossy(g, words, v, base, t, loss) {
-				arrival[v] = int32(t + 1)
-				newly = append(newly, int32(v))
-			}
-		}
-	}
-	for _, v := range newly[start:] {
-		words[v>>6] |= 1 << (uint(v) & 63)
-	}
-	return newly
-}
-
 // scanLossy decides whether uninformed node v receives the message in
 // round t: it walks v's adjacency, and each informed neighbor's copy
 // survives with probability 1−loss, drawn from v's (node, round)
@@ -449,30 +299,4 @@ func scanLossy(g *graph.Graph, words []uint64, v int, base uint64, t int, loss f
 		return true
 	}
 	return false
-}
-
-// mergeWords applies a frontier bitmap to the informed words, records
-// arrivals, appends the discoveries to newly in node order, and zeroes
-// the frontier for the next round.
-func mergeWords(frontier, words []uint64, arrival []int32, t int, newly []int32) []int32 {
-	for wi, f := range frontier {
-		if f == 0 {
-			continue
-		}
-		frontier[wi] = 0
-		m := f &^ words[wi]
-		if m == 0 {
-			continue
-		}
-		words[wi] |= m
-		wbase := wi * 64
-		for m != 0 {
-			b := bits.TrailingZeros64(m)
-			m &= m - 1
-			v := int32(wbase + b)
-			arrival[v] = int32(t + 1)
-			newly = append(newly, v)
-		}
-	}
-	return newly
 }

@@ -9,13 +9,13 @@ import (
 	"meg/internal/rng"
 )
 
-// gossipEngine is the shard-parallel gossip scratch: the flooding
-// shardEngine's per-worker frontier bitmaps and newly lists, plus
-// per-shard message counters. Every round runs as fork/join phases
+// gossipEngine holds the per-run scratch of the gossip kernels: the
+// flooding shardEngine's per-worker frontier bitmaps and newly lists,
+// plus per-shard message counters. Every round runs as fork/join phases
 // over contiguous shards with shard outputs combined in shard order,
 // and — because every random decision is keyed by (node, round), never
-// by scan order — the GossipResult is byte-identical to the serial
-// kernels' for every worker count.
+// by scan order — the GossipResult is byte-identical for every worker
+// count, one shard included.
 type gossipEngine struct {
 	*shardEngine
 	msgs []int64
@@ -36,7 +36,7 @@ func (e *gossipEngine) addMessages(used int, messages *int64) {
 	}
 }
 
-// pushGossipRound is the sharded push-gossip kernel: the senders list
+// pushGossipRound is the push-gossip kernel: the senders list
 // is split into contiguous shards, each worker drawing its senders'
 // targets from their (node, round) streams and marking uninformed hits
 // in its private frontier; the shared merge phase applies the union in
@@ -72,7 +72,7 @@ func (e *gossipEngine) pushGossipRound(g *graph.Graph, senders []int32, informed
 	return e.mergeFrontiers(e.frontiers[:used], words, arrival, t, newly)
 }
 
-// pushPullRound is the sharded push-pull kernel: the node space is
+// pushPullRound is the push-pull kernel: the node space is
 // split into contiguous ranges, every node draws its partner from its
 // (node, round) stream, and both push hits (anywhere in the node
 // space) and pull hits (the scanning node itself) go to the worker's
@@ -115,14 +115,16 @@ func (e *gossipEngine) pushPullRound(g *graph.Graph, informed *bitset.Set, arriv
 	return e.mergeFrontiers(e.frontiers[:used], words, arrival, t, newly)
 }
 
-// lossyRound is the sharded lossy-flood kernel: the uninformed side is
-// split into contiguous shards — word ranges of the complement while
-// the uninformed set is large, ranges of the shrinking active-set list
-// in the straggler regime — each worker deciding its own nodes'
-// deliveries from their (node, round) streams (the whole per-node scan
-// lives inside one shard, so the stream is consumed in adjacency order
-// exactly as in the serial kernel). Hits are applied after the join,
-// in shard order.
+// lossyRound is the lossy-flood kernel, receiver-driven: every
+// uninformed node scans its adjacency for informed neighbors, drawing
+// the fate of each arriving copy from its own (node, round) stream and
+// stopping at the first delivery. The uninformed side is split into
+// contiguous shards — word ranges of the complement while the
+// uninformed set is large, ranges of the shrinking active-set list in
+// the straggler regime. The whole per-node scan lives inside one shard,
+// so the stream is consumed in adjacency order for every shard count.
+// The informed set is only read during the scan; hits are applied
+// after the join, in shard order.
 func (e *gossipEngine) lossyRound(g *graph.Graph, informed *bitset.Set, arrival []int32, base uint64, t int, loss float64, newly []int32, uninformed int) []int32 {
 	words := informed.MutableWords()
 	n := informed.Len()

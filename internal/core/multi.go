@@ -39,7 +39,7 @@ type MultiOptions struct {
 	// split into contiguous shards, each worker updating the masks and
 	// arrival entries of its own shard, with per-shard informed-count
 	// deltas reduced in shard order — results are byte-identical for
-	// every value, including 1. 0 or 1 runs the serial loop; < 0 uses
+	// every value. 0 or 1 runs the same sweep as one shard; < 0 uses
 	// all CPUs. A Parallelizable dynamics receives the same worker
 	// count for its snapshot builds.
 	Parallelism int
@@ -126,11 +126,7 @@ func FloodMultiOpt(d Dynamics, sources []int, maxRounds int, opt MultiOptions) [
 			if grp.done {
 				continue
 			}
-			if workers > 1 {
-				grp.roundParallel(g, t, workers)
-			} else {
-				grp.round(g, t)
-			}
+			grp.round(g, t, workers)
 			if grp.done {
 				remaining--
 			}
@@ -191,8 +187,8 @@ type multiGroup struct {
 	full    uint64        // mask with one bit per flood in the group
 	done    bool          // every flood in the group completed
 
-	// shardCounts holds per-shard informed-count deltas for the sharded
-	// round; reduced into counts in shard order after the join.
+	// shardCounts holds per-shard informed-count deltas of a round;
+	// reduced into counts in shard order after the join.
 	shardCounts [][]int
 }
 
@@ -218,40 +214,13 @@ func newMultiGroup(n int, sources []int, results []FloodResult) *multiGroup {
 // round advances every incomplete flood of the group one synchronous
 // step on snapshot g: next[v] = masks[v] | ⋁_{u ∈ N(v)} masks[u], all
 // 64 floods at once per word operation. Reading only masks (written
-// last round) while writing next keeps the update synchronous.
-func (grp *multiGroup) round(g *graph.Graph, t int) {
-	n := len(grp.masks)
-	masks, next := grp.masks, grp.next
-	full := grp.full
-	for v := 0; v < n; v++ {
-		acc := masks[v]
-		if acc != full {
-			for _, u := range g.Neighbors(v) {
-				acc |= masks[u]
-			}
-		}
-		next[v] = acc
-		if diff := acc &^ masks[v]; diff != 0 {
-			for diff != 0 {
-				k := bits.TrailingZeros64(diff)
-				diff &= diff - 1
-				grp.results[k].Arrival[v] = int32(t + 1)
-				grp.counts[k]++
-			}
-		}
-	}
-	grp.masks, grp.next = next, masks
-	grp.finishRound(n, t)
-}
-
-// roundParallel is round on a worker pool: the node space is split into
-// contiguous shards, each worker computing next[v] and arrival updates
-// for its own nodes only (masks, written last round, is read-only
-// during the sweep) and accumulating informed-count deltas in a
-// shard-private array. Deltas are reduced in shard order after the
-// join, so the group's state is byte-identical to the serial round's
-// for every worker count.
-func (grp *multiGroup) roundParallel(g *graph.Graph, t, workers int) {
+// last round) while writing next keeps the update synchronous. The
+// node space is split into contiguous shards, each worker computing
+// next[v] and arrival updates for its own nodes only and accumulating
+// informed-count deltas in a shard-private array. Deltas are reduced
+// in shard order after the join, so the group's state is
+// byte-identical for every worker count, one included.
+func (grp *multiGroup) round(g *graph.Graph, t, workers int) {
 	n := len(grp.masks)
 	masks, next := grp.masks, grp.next
 	full := grp.full

@@ -15,15 +15,16 @@ import (
 // own Parallelism setting to the dynamics before the first round.
 type Parallelizable interface {
 	// SetParallelism sets the worker count for subsequent snapshot
-	// builds: 0 or 1 means serial, < 0 means all CPUs.
+	// builds: 0 or 1 means one worker, < 0 means all CPUs.
 	SetParallelism(workers int)
 }
 
 // engineWorkers resolves an options Parallelism knob to a concrete
-// worker count and forwards it to the dynamics when supported.
+// worker count and forwards it to the dynamics when supported. The
+// engines always shard; 0 (the zero value) and 1 both mean one shard.
 func engineWorkers(parallelism int, d Dynamics) int {
 	if parallelism == 0 {
-		parallelism = 1 // zero value keeps the serial engine
+		parallelism = 1
 	}
 	workers := par.Workers(parallelism)
 	if pz, ok := d.(Parallelizable); ok {
@@ -32,9 +33,11 @@ func engineWorkers(parallelism int, d Dynamics) int {
 	return workers
 }
 
-// shardEngine holds the per-run scratch of the shard-parallel flooding
-// kernels: one private frontier bitmap per worker plus per-shard newly
-// lists. Every round runs as fork/join phases over contiguous shards —
+// shardEngine holds the per-run scratch of the flooding kernels: one
+// private frontier bitmap per worker plus per-shard newly lists. A
+// one-worker run is its one-shard case, in which par.ForBlocks
+// degrades to a plain loop. Every round runs as fork/join phases over
+// contiguous shards —
 // senders are split by position for the push scan, the node space is
 // split by word range for the merge and the pull scan — and shard
 // outputs are combined in shard order, so the informed set, arrival
@@ -160,13 +163,14 @@ func (e *shardEngine) mergeFrontiers(frontiers [][]uint64, words []uint64, arriv
 // informed neighbor (CSR walk, or word-parallel row intersection when
 // rows is non-nil) and recording hits in its shard's newly list. The
 // informed set is only read during the scan — hits are applied after
-// the join, in shard order, preserving the synchronous semantics and
-// worker-count independence of the serial kernel. Both enumerations
-// visit the same nodes ascending (list shards are contiguous slices of
-// an ascending list), so the result is byte-identical either way. With
-// the skip layer armed (see activeSet), each shard walks its slice but
-// probes only marked or churned nodes — the same candidate set the
-// serial kernel selects, since marks and stamps are round-start state.
+// the join, in shard order, so discoveries never feed back into the
+// same round (the paper's synchronous semantics) and the result does
+// not depend on the shard count. Both enumerations visit the same nodes
+// ascending (list shards are contiguous slices of an ascending list),
+// so the result is byte-identical either way. With the skip layer armed
+// (see activeSet), each shard walks its slice but probes only marked or
+// churned nodes — the same candidate set for every shard count, since
+// marks and stamps are round-start state.
 func (e *shardEngine) pullRound(g *graph.Graph, rows *graph.DenseRows, informed *bitset.Set, arrival []int32, t int, newly []int32, uninformed int) []int32 {
 	words := informed.MutableWords()
 	n := informed.Len()
@@ -210,8 +214,9 @@ func (e *shardEngine) pullRound(g *graph.Graph, rows *graph.DenseRows, informed 
 		newly = e.applyPull(words, newly)
 		e.uninf.markNeighbors(g, newly[start:])
 		if len(newly) > start {
-			// No discoveries → the list is unchanged; skip the
-			// compaction walk (see the serial kernel).
+			// A round with no discoveries leaves the list untouched —
+			// skipping the compaction walk keeps stalled straggler
+			// rounds at O(candidates) instead of O(|list|).
 			e.uninf.compact(words)
 		}
 		return newly

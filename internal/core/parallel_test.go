@@ -35,30 +35,30 @@ func floodResultsEqual(t *testing.T, label string, a, b FloodResult) {
 }
 
 func TestFloodParallelismByteIdentical(t *testing.T) {
-	// The sharded engine must reproduce the serial engine exactly, for
-	// every worker count and kernel, on deterministic dynamics
-	// (randomSequence replays identical snapshots to every run).
+	// The result must not depend on the shard count: one shard and
+	// 2, 3 or 8 shards agree exactly, for every kernel, on deterministic
+	// dynamics (randomSequence replays identical snapshots to every run).
 	for _, n := range []int{5, 64, 65, 500, 2048} {
 		edgeP := 2.5 / float64(n)
 		for _, kernel := range []Kernel{KernelAuto, KernelPush, KernelPull} {
-			serial := FloodOpt(randomSequence(n, 64, edgeP, uint64(n)), 0, DefaultRoundCap(n),
+			oneShard := FloodOpt(randomSequence(n, 64, edgeP, uint64(n)), 0, DefaultRoundCap(n),
 				FloodOptions{Kernel: kernel, Parallelism: 1})
 			for _, p := range []int{2, 3, 8} {
 				par := FloodOpt(randomSequence(n, 64, edgeP, uint64(n)), 0, DefaultRoundCap(n),
 					FloodOptions{Kernel: kernel, Parallelism: p})
-				floodResultsEqual(t, kernel.String(), serial, par)
+				floodResultsEqual(t, kernel.String(), oneShard, par)
 			}
 		}
 	}
 }
 
 func TestFloodParallelismOnStaticDenseRows(t *testing.T) {
-	// The static pull path exports dense rows; the parallel export must
-	// not change results.
+	// The static pull path exports dense rows; neither the export nor
+	// the pull scan may depend on the shard count.
 	g := graph.Complete(300)
-	serial := FloodOpt(NewStatic(g), 7, 100, FloodOptions{Kernel: KernelPull, Parallelism: 1})
+	oneShard := FloodOpt(NewStatic(g), 7, 100, FloodOptions{Kernel: KernelPull, Parallelism: 1})
 	par := FloodOpt(NewStatic(g), 7, 100, FloodOptions{Kernel: KernelPull, Parallelism: 8})
-	floodResultsEqual(t, "static pull", serial, par)
+	floodResultsEqual(t, "static pull", oneShard, par)
 }
 
 func TestFloodMultiParallelismByteIdentical(t *testing.T) {
@@ -67,30 +67,30 @@ func TestFloodMultiParallelismByteIdentical(t *testing.T) {
 	for i := range sources {
 		sources[i] = (i * 13) % n
 	}
-	serial := FloodMultiOpt(randomSequence(n, 64, 2.5/float64(n), 3), sources, DefaultRoundCap(n), MultiOptions{Parallelism: 1})
+	oneShard := FloodMultiOpt(randomSequence(n, 64, 2.5/float64(n), 3), sources, DefaultRoundCap(n), MultiOptions{Parallelism: 1})
 	for _, p := range []int{2, 8} {
 		par := FloodMultiOpt(randomSequence(n, 64, 2.5/float64(n), 3), sources, DefaultRoundCap(n), MultiOptions{Parallelism: p})
-		for k := range serial {
-			floodResultsEqual(t, "multi", serial[k], par[k])
+		for k := range oneShard {
+			floodResultsEqual(t, "multi", oneShard[k], par[k])
 		}
 	}
 }
 
 func TestFloodParallelIncomplete(t *testing.T) {
-	// A disconnected graph must leave the same nodes uninformed under
-	// both engines, and the round cap applies identically.
+	// A disconnected graph must leave the same nodes uninformed on one
+	// shard and on four, and the round cap applies identically.
 	b := graph.NewBuilder(10)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	g := b.Build()
-	serial := FloodOpt(NewStatic(g), 0, 17, FloodOptions{Parallelism: 1})
+	oneShard := FloodOpt(NewStatic(g), 0, 17, FloodOptions{Parallelism: 1})
 	par := FloodOpt(NewStatic(g), 0, 17, FloodOptions{Parallelism: 4})
-	if serial.Completed || par.Completed {
+	if oneShard.Completed || par.Completed {
 		t.Fatal("disconnected flood completed")
 	}
-	floodResultsEqual(t, "disconnected", serial, par)
-	if serial.Rounds != 17 {
-		t.Fatalf("incomplete run reports %d rounds, want the cap", serial.Rounds)
+	floodResultsEqual(t, "disconnected", oneShard, par)
+	if oneShard.Rounds != 17 {
+		t.Fatalf("incomplete run reports %d rounds, want the cap", oneShard.Rounds)
 	}
 }
 

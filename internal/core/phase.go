@@ -16,8 +16,10 @@ const (
 	// PhaseKernel is the round's frontier computation — the push/pull
 	// flooding kernels, a multi-group batch sweep, or a gossip kernel.
 	PhaseKernel
-	// PhaseMerge is the sharded flooding engine's frontier-merge span, a
-	// sub-span nested inside PhaseKernel (serial kernels never emit it).
+	// PhaseMerge is the sharded engine's frontier-merge span, a sub-span
+	// nested inside PhaseKernel. It occurs at every Parallelism, one
+	// shard included; only the Spreader path and the multi-source sweep
+	// have no merge.
 	PhaseMerge
 	// PhaseStep is the chain advance G_t → G_{t+1}: Dynamics.Step, or
 	// DeltaDynamics.StepDelta on the delta path.

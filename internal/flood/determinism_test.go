@@ -109,7 +109,8 @@ func TestParallelismIdenticalBatchedMulti(t *testing.T) {
 }
 
 // TestParallelismZeroMeansSerial pins the compatibility contract: the
-// zero value runs the serial engine and matches Parallelism 1 exactly.
+// zero value runs the engine as one shard and matches Parallelism 1
+// exactly.
 func TestParallelismZeroMeansSerial(t *testing.T) {
 	s := allModelSpecs(t)[0]
 	zero := runWithParallelism(t, s, 0, false)

@@ -73,10 +73,10 @@ type Options struct {
 	// Parallelism is the intra-trial worker count of the sharded
 	// flooding engine and the models' parallel snapshot builds
 	// (core.FloodOptions.Parallelism). Results are byte-identical for
-	// every value; 0 or 1 keeps the serial kernels. Trial-level Workers
-	// and intra-trial Parallelism multiply, so campaigns typically
-	// raise one or the other: many short trials want Workers, few huge
-	// trials want Parallelism.
+	// every value; 0 or 1 runs the engine as one shard. Trial-level
+	// Workers and intra-trial Parallelism multiply, so campaigns
+	// typically raise one or the other: many short trials want Workers,
+	// few huge trials want Parallelism.
 	Parallelism int
 	// Kernel selects the flooding engine's per-round strategy
 	// (default core.KernelAuto, the direction-optimizing push/pull

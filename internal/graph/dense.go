@@ -18,16 +18,11 @@ type DenseRows struct {
 	words  []uint64
 }
 
-// NewDenseRows materializes the dense adjacency rows of g.
-func NewDenseRows(g *Graph) *DenseRows {
-	return NewDenseRowsParallel(g, 1)
-}
-
-// NewDenseRowsParallel is NewDenseRows on a worker pool: rows are
-// filled per contiguous node block, each worker writing only its own
-// rows, so the matrix is byte-identical to the serial build for every
-// worker count. workers <= 1 builds serially.
-func NewDenseRowsParallel(g *Graph, workers int) *DenseRows {
+// NewDenseRows materializes the dense adjacency rows of g. Rows are
+// filled per contiguous node block on a pool of workers, each writing
+// only its own rows, so the matrix is byte-identical for every worker
+// count; workers <= 1 (or a graph under 256 nodes) builds in one loop.
+func NewDenseRows(g *Graph, workers int) *DenseRows {
 	stride := (g.n + 63) / 64
 	d := &DenseRows{n: g.n, stride: stride, words: make([]uint64, g.n*stride)}
 	fill := func(lo, hi int) {

@@ -9,7 +9,7 @@ import (
 func TestDenseRows(t *testing.T) {
 	// 70 nodes crosses the one-word row boundary.
 	g := Cycle(70)
-	d := NewDenseRows(g)
+	d := NewDenseRows(g, 1)
 	if d.N() != 70 {
 		t.Fatalf("N = %d", d.N())
 	}
@@ -29,7 +29,7 @@ func TestDenseRows(t *testing.T) {
 
 func TestDenseRowsIntersects(t *testing.T) {
 	g := Star(80)
-	d := NewDenseRows(g)
+	d := NewDenseRows(g, 1)
 	s := bitset.New(80)
 	s.Add(0) // the hub
 	for u := 1; u < 80; u++ {

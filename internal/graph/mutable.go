@@ -128,7 +128,7 @@ func (m *Mutable) Graph() *Graph { return &m.view }
 // SetDenseRows attaches a dense adjacency matrix that ApplyDelta keeps
 // coherent with the snapshot (births set the mirrored bit pair, deaths
 // clear it). The matrix must describe the current snapshot — typically
-// NewDenseRows(m.Graph()) — and must span the same node universe.
+// NewDenseRows(m.Graph(), workers) — and must span the same node universe.
 func (m *Mutable) SetDenseRows(r *DenseRows) {
 	if r != nil && r.n != m.view.n {
 		panic("graph: SetDenseRows universe mismatch")

@@ -167,13 +167,13 @@ func TestMutableDenseRowsCoherent(t *testing.T) {
 	r := rng.New(11)
 	keys := randomKeys(n, 0.08, r)
 	m := NewMutable(buildFromKeys(n, keys))
-	m.SetDenseRows(NewDenseRows(m.Graph()))
+	m.SetDenseRows(NewDenseRows(m.Graph(), 1))
 	for round := 0; round < 10; round++ {
 		var d Delta
 		d, keys = randomDelta(n, keys, 0.02, 0.2, r)
 		m.ApplyDelta(d, 2)
 	}
-	want := NewDenseRows(buildFromKeys(n, keys))
+	want := NewDenseRows(buildFromKeys(n, keys), 1)
 	for u := 0; u < n; u++ {
 		g, w := m.rows.Row(u), want.Row(u)
 		for i := range g {
@@ -231,7 +231,7 @@ func TestMutableResetMatchesFresh(t *testing.T) {
 		d, wear = randomDelta(120, wear, 0.05, 0.2, r)
 		dirty.ApplyDelta(d, 2)
 	}
-	rows := NewDenseRows(dirty.Graph())
+	rows := NewDenseRows(dirty.Graph(), 1)
 	dirty.SetDenseRows(rows)
 	before := append([]uint64(nil), rows.Row(0)...)
 

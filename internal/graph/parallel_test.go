@@ -127,9 +127,9 @@ func TestAddEdgesBulkValidates(t *testing.T) {
 
 func TestDenseRowsParallelByteIdentical(t *testing.T) {
 	g := randomBuilder(500, 4000, 13).Build()
-	want := NewDenseRows(g)
+	want := NewDenseRows(g, 1)
 	for _, workers := range []int{1, 2, 8} {
-		got := NewDenseRowsParallel(g, workers)
+		got := NewDenseRows(g, workers)
 		if len(want.words) != len(got.words) {
 			t.Fatalf("workers=%d: word counts differ", workers)
 		}

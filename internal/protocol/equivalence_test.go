@@ -64,7 +64,7 @@ func resultsEqual(t *testing.T, label string, ref protocol.Result, got core.Goss
 func TestGossipKernelMatchesReference(t *testing.T) {
 	for model, factory := range modelFactories(t) {
 		for _, tc := range gossipCases {
-			for _, par := range []int{1, 8} {
+			for _, par := range []int{1, 3, 8} {
 				seed := rng.New(41)
 				cap := core.DefaultRoundCap(400)
 

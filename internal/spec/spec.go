@@ -175,7 +175,7 @@ type Spec struct {
 	Workers int `json:"workers,omitempty"`
 	// Parallelism is the intra-trial worker count of the sharded
 	// flooding engine and the models' parallel snapshot builds
-	// (0 or 1 = serial, -1 = all CPUs). Like Workers it is an execution
+	// (0 or 1 = one shard, -1 = all CPUs). Like Workers it is an execution
 	// hint: results are byte-identical for every value, so it is
 	// excluded from the content hash and stripped from cached results.
 	Parallelism int `json:"parallelism,omitempty"`
