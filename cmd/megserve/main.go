@@ -35,6 +35,11 @@ import (
 	"meg/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so slow or idle connections cannot pin the server's
+// connection slots. Request bodies and SSE streams are not limited by it.
+const readHeaderTimeout = 5 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	jobs := flag.Int("jobs", 2, "total concurrent simulation jobs across all shards (each job parallelizes its trials internally)")
@@ -58,7 +63,7 @@ func main() {
 	if *pprofOn {
 		api.EnablePprof()
 	}
-	srv := &http.Server{Addr: *addr, Handler: api.Handler()}
+	srv := &http.Server{Addr: *addr, Handler: api.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	// Graceful shutdown: stop accepting, let in-flight responses end,
 	// cancel running jobs, drain workers.

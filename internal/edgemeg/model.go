@@ -122,12 +122,15 @@ type Model struct {
 	g       *graph.Graph
 	dirty   bool
 
-	// merged is the double buffer the per-shard step outputs are
-	// concatenated into before swapping with edges.
+	// merged is the double buffer every shard writes its next slice
+	// into before it swaps with edges.
 	merged []uint64
-	// starts[i] is the offset of shard i's key range in edges
-	// (len(shards)+1 entries); recomputed each Step.
+	// starts[i] is the offset of shard i's slice (len(shards)+1
+	// entries): in edges while the shards sample, in merged while they
+	// write.
 	starts []int
+	// stepFn and writeFn are Step's per-shard phases, bound in New.
+	stepFn, writeFn func(shard int)
 	// sweep holds the parallel snapshot decode's per-block buffers.
 	sweep graph.BlockSweep
 	// deltaBirths/deltaDeaths are StepDelta's concatenation buffers.
@@ -142,18 +145,16 @@ type edgeShard struct {
 	loKey  uint64 // packPair key of pair lo
 	r      *rng.RNG
 
-	births    []uint64
-	survivors []uint64
-	merged    []uint64
-
-	// deaths and birthsEff record the shard's realized delta — the
-	// edges that flipped present→absent and absent→present this step.
-	// step computes both as byproducts of the resample (the death skip
-	// already visits every dying edge, the merge already decides which
-	// birth candidates are effective), so StepDelta costs no extra
-	// passes over the edge list.
-	deaths    []uint64
-	birthsEff []uint64
+	// edges is the shard's time-t slice while a step is in flight, and
+	// births the step's birth candidates.
+	edges, births []uint64
+	// birthsEff and deaths are the step's realized delta — the edges
+	// that flipped absent→present and present→absent, ascending — and
+	// birthAt/deathAt their positions in edges: a birth goes in front
+	// of edges[birthAt[k]], a death removes edges[deathAt[k]]. StepDelta
+	// concatenates the keys; write splices by the positions.
+	birthsEff, deaths []uint64
+	birthAt, deathAt  []int
 }
 
 // shardTargetPairs sizes the pair-space shards: big enough that the
@@ -196,6 +197,10 @@ func New(cfg Config) (*Model, error) {
 		u, v := PairAt(cfg.N, lo)
 		m.shards[i] = edgeShard{lo: lo, hi: hi, loKey: packPair(u, v)}
 	}
+	m.stepFn = func(i int) {
+		m.shards[i].step(m.cfg.N, m.cfg.P, m.cfg.Q, m.edges[m.starts[i]:m.starts[i+1]])
+	}
+	m.writeFn = func(i int) { m.shards[i].write(m.merged[m.starts[i]:m.starts[i+1]]) }
 	return m, nil
 }
 
@@ -267,10 +272,10 @@ func (m *Model) Reset(r *rng.RNG) {
 		workers := m.parallel
 		par.Do(workers, len(m.shards), func(i int) {
 			sh := &m.shards[i]
-			sh.merged = appendGNPKeysRange(sh.merged[:0], m.cfg.N, pHat, sh.lo, sh.hi, sh.r)
+			sh.births = appendGNPKeysRange(sh.births[:0], m.cfg.N, pHat, sh.lo, sh.hi, sh.r)
 		})
 		for i := range m.shards {
-			m.edges = append(m.edges, m.shards[i].merged...)
+			m.edges = append(m.edges, m.shards[i].births...)
 		}
 	case InitEmpty:
 		// nothing
@@ -299,61 +304,53 @@ func (m *Model) Reset(r *rng.RNG) {
 // pair-index range; candidates that land on currently present pairs are
 // discarded, which leaves precisely an independent Bernoulli(p) trial
 // on each absent pair. Deaths are drawn by skip sampling over each
-// shard's slice of the current edge list. Expected cost
-// O(|E_t| + p·C(n,2)) total, spread over the worker pool; every shard
-// draws from its own stream, so the realization does not depend on the
-// worker count.
+// shard's slice of the current edge list, each skip landing directly on
+// the next dying position. Expected cost O(p·C(n,2) + q·|E_t|) draws
+// and collision searches, plus one bulk copy of the untouched runs of
+// E_t, spread over the worker pool; every shard draws from its own
+// stream, so the realization does not depend on the worker count.
 func (m *Model) Step() {
 	if m.r == nil {
 		panic("edgemeg: Step before Reset")
 	}
-	n := m.cfg.N
-	p, q := m.cfg.P, m.cfg.Q
 
 	// Locate each shard's slice of the (sorted) edge list. Shard i owns
 	// keys in [loKey_i, loKey_{i+1}).
 	s := len(m.shards)
 	m.starts[0] = 0
 	for i := 1; i < s; i++ {
-		key := m.shards[i].loKey
-		base := m.starts[i-1]
-		m.starts[i] = base + sort.Search(len(m.edges)-base, func(j int) bool { return m.edges[base+j] >= key })
+		m.starts[i] = searchFrom(m.edges, m.starts[i-1], m.shards[i].loKey)
 	}
 	m.starts[s] = len(m.edges)
+	par.Do(m.parallel, s, m.stepFn)
 
-	par.Do(m.parallel, s, func(i int) {
-		m.shards[i].step(n, p, q, m.edges[m.starts[i]:m.starts[i+1]])
-	})
-
-	// Concatenate shard outputs in shard order; ranges are contiguous,
-	// so the result is sorted. Each shard copies into its precomputed
-	// slot concurrently. The buffer then swaps with edges, so steady
-	// state allocates nothing.
+	// Each shard's next slice starts at the prefix sum of the new shard
+	// lengths; shard key ranges are contiguous, so writing every slice
+	// at its offset leaves merged sorted. The buffer then swaps with
+	// edges, so steady state allocates nothing.
 	total := 0
 	for i := range m.shards {
+		sh := &m.shards[i]
 		m.starts[i] = total
-		total += len(m.shards[i].merged)
+		total += len(sh.edges) - len(sh.deaths) + len(sh.birthsEff)
 	}
-	merged := m.merged[:0]
-	if cap(merged) < total {
-		merged = make([]uint64, 0, total+total/4)
+	m.starts[s] = total
+	if cap(m.merged) < total {
+		m.merged = make([]uint64, total, total+total/4)
 	}
-	merged = merged[:total]
-	par.Do(m.parallel, s, func(i int) {
-		copy(merged[m.starts[i]:], m.shards[i].merged)
-	})
-	m.merged = m.edges
-	m.edges = merged
+	m.merged = m.merged[:total]
+	par.Do(m.parallel, s, m.writeFn)
+	m.merged, m.edges = m.edges, m.merged
 	m.dirty = true
 }
 
 // StepDelta implements core.DeltaDynamics: it advances the chain with
 // the exact same resampling (and RNG draws) as Step and returns the
-// realized edge churn. The sharded step already computes each shard's
-// deaths and effective births before merging, so the delta is just the
-// per-shard lists concatenated in shard order — ascending, because
-// shard key ranges are contiguous. The edge-MEG pair keys are packed in
-// graph.PackEdge layout, so no re-encoding happens.
+// realized edge churn. Each shard's step records its deaths and
+// effective births, so the delta is just the per-shard lists
+// concatenated in shard order — ascending, because shard key ranges are
+// contiguous. The edge-MEG pair keys are packed in graph.PackEdge
+// layout, so no re-encoding happens.
 func (m *Model) StepDelta() graph.Delta {
 	m.Step()
 	m.deltaBirths = m.deltaBirths[:0]
@@ -365,77 +362,73 @@ func (m *Model) StepDelta() graph.Delta {
 	return graph.Delta{Births: m.deltaBirths, Deaths: m.deltaDeaths}
 }
 
-// step advances one shard: births against the shard's index range,
-// deaths over its current edge slice, and the synchronous merge — the
-// same three phases the pre-sharded Step ran globally.
+// step samples one shard's round against its time-t slice edges and
+// records the change points; write applies them.
 func (sh *edgeShard) step(n int, p, q float64, edges []uint64) {
+	sh.edges, sh.birthsEff, sh.birthAt = edges, sh.birthsEff[:0], sh.birthAt[:0]
+	sh.deaths, sh.deathAt = sh.deaths[:0], sh.deathAt[:0]
+
 	// Births against the state at time t (before deaths are applied): a
 	// pair that dies this step was present at time t, so it takes no
 	// birth trial; discarding candidate hits on present pairs is what
-	// enforces that.
-	sh.births = sh.births[:0]
-	if p > 0 {
-		idx := sh.lo - 1
-		for {
-			idx += sh.r.Geometric(p) + 1
-			if idx >= sh.hi {
-				break
-			}
-			u, v := PairAt(n, idx)
-			sh.births = append(sh.births, packPair(u, v))
-		}
-	}
-
-	// Deaths: mark current edges that flip to absent.
-	sh.survivors = sh.survivors[:0]
-	sh.deaths = sh.deaths[:0]
-	if q <= 0 {
-		sh.survivors = append(sh.survivors, edges...)
-	} else if q >= 1 {
-		sh.deaths = append(sh.deaths, edges...)
-	} else {
-		next := -1 + sh.r.Geometric(q) + 1 // first death position
-		for i, e := range edges {
-			if int64(i) == next {
-				next += sh.r.Geometric(q) + 1
-				sh.deaths = append(sh.deaths, e)
-				continue
-			}
-			sh.survivors = append(sh.survivors, e)
-		}
-	}
-
-	// Merge survivors with effective births (those not colliding with a
-	// time-t edge). Both lists are ascending; collisions are detected
-	// against the original edge slice during the merge.
-	sh.merged, sh.birthsEff = mergeStep(sh.merged[:0], sh.birthsEff[:0], sh.survivors, sh.births, edges)
-}
-
-// mergeStep merges survivors and births into dst, dropping any birth
-// whose pair was present in original (its chain was in state 1, so the
-// birth trial does not apply) and recording the births that took effect
-// in eff. All inputs are ascending; both results are ascending.
-func mergeStep(dst, eff, survivors, births, original []uint64) ([]uint64, []uint64) {
-	oi := 0
-	si := 0
-	for _, b := range births {
-		// Advance the original cursor to check for a collision.
-		for oi < len(original) && original[oi] < b {
-			oi++
-		}
-		if oi < len(original) && original[oi] == b {
+	// enforces that. Candidates ascend, so each collision search starts
+	// from the previous one's position.
+	sh.births = appendGNPKeysRange(sh.births[:0], n, p, sh.lo, sh.hi, sh.r)
+	at := 0
+	for _, b := range sh.births {
+		if at = searchFrom(edges, at, b); at < len(edges) && edges[at] == b {
 			continue // pair already present at time t: no birth trial
 		}
-		// Emit survivors smaller than this birth.
-		for si < len(survivors) && survivors[si] < b {
-			dst = append(dst, survivors[si])
-			si++
-		}
-		dst = append(dst, b)
-		eff = append(eff, b)
+		sh.birthsEff = append(sh.birthsEff, b)
+		sh.birthAt = append(sh.birthAt, at)
 	}
-	dst = append(dst, survivors[si:]...)
-	return dst, eff
+
+	// Deaths: each skip lands on the next dying position. At q = 1 the
+	// skip is always 0 and draws nothing.
+	if q > 0 {
+		for i := sh.r.Geometric(q); i < int64(len(edges)); i += sh.r.Geometric(q) + 1 {
+			sh.deaths = append(sh.deaths, edges[i])
+			sh.deathAt = append(sh.deathAt, int(i))
+		}
+	}
+}
+
+// write emits the shard's time-(t+1) slice into dst, which holds
+// exactly len(edges) − deaths + births keys: the time-t slice with the
+// deaths cut out and the births spliced in, one copy per run of
+// untouched edges between change points.
+func (sh *edgeShard) write(dst []uint64) {
+	old, births, birthAt, deathAt := sh.edges, sh.birthsEff, sh.birthAt, sh.deathAt
+	c, o, d := 0, 0, 0 // read cursor in old, write cursor in dst, next death
+	for k := 0; k <= len(births); k++ {
+		end := len(old) // next birth position, or the end of the slice
+		if k < len(births) {
+			end = birthAt[k]
+		}
+		for ; d < len(deathAt) && deathAt[d] < end; d++ {
+			o += copy(dst[o:], old[c:deathAt[d]])
+			c = deathAt[d] + 1
+		}
+		o += copy(dst[o:], old[c:end])
+		c = end
+		if k < len(births) {
+			dst[o] = births[k]
+			o++
+		}
+	}
+}
+
+// searchFrom returns the first position i ≥ lo with keys[i] ≥ key,
+// for ascending keys whose prefix keys[:lo] is below key: it gallops
+// ahead from lo, then binary-searches the bracketed run, so a sweep of
+// ascending probes costs O(log gap) each.
+func searchFrom(keys []uint64, lo int, key uint64) int {
+	hi, step := lo, 1
+	for hi < len(keys) && keys[hi] < key {
+		lo, hi, step = hi+1, hi+step, step*2
+	}
+	hi = min(hi, len(keys))
+	return lo + sort.Search(hi-lo, func(j int) bool { return keys[lo+j] >= key })
 }
 
 // Graph implements core.Dynamics; it materializes the current snapshot

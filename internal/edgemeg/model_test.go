@@ -369,6 +369,37 @@ func BenchmarkStepSparse(b *testing.B) {
 	}
 }
 
+// BenchmarkStepLowChurn is the regime the churn-proportional step
+// targets: perfbench's edge-lowchurn-8k chain (n = 8192, p̂ = 0.5·ln n/n,
+// q = 0.002), where a round flips ~70 of ~18k edges.
+func BenchmarkStepLowChurn(b *testing.B) {
+	const n, q = 8192, 0.002
+	pHat := 0.5 * math.Log(n) / n
+	m := MustNew(Config{N: n, P: q * pHat / (1 - pHat), Q: q})
+	m.Reset(rng.New(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.StepDelta()
+	}
+}
+
+// TestStepAllocatesNothing pins the steady state: once the buffers have
+// grown, StepDelta allocates nothing, on one pair-space shard and on
+// two.
+func TestStepAllocatesNothing(t *testing.T) {
+	for _, n := range []int{1024, 3000} {
+		m := MustNew(Config{N: n, P: 1e-4, Q: 0.05})
+		m.Reset(rng.New(5))
+		for i := 0; i < 100; i++ {
+			m.StepDelta()
+		}
+		if a := testing.AllocsPerRun(100, func() { m.StepDelta() }); a != 0 {
+			t.Errorf("n=%d (%d shards): %v allocations per StepDelta", n, len(m.shards), a)
+		}
+	}
+}
+
 func BenchmarkGNPSample(b *testing.B) {
 	r := rng.New(1)
 	n := 4096

@@ -6,13 +6,14 @@
 // graph G(n, p̂) with p̂ = p/(p+q).
 //
 // Simulating Θ(n²) independent chains naively costs Θ(n²) coin flips
-// per step. This package instead advances the chain in expected
-// O(|E_t| + p·n²) time per step using geometric skip sampling over the
-// linearized pair-index space (the Batagelj–Brandes technique), which
-// draws exactly the same distribution: births are enumerated by jumping
-// between successes of a Bernoulli(p) process over absent pairs, and
-// deaths by jumping between successes of a Bernoulli(q) process over
-// the current edge list.
+// per step. This package instead draws only the flips, by geometric
+// skip sampling over the linearized pair-index space (the
+// Batagelj–Brandes technique), which gives exactly the same
+// distribution: births are enumerated by jumping between successes of
+// a Bernoulli(p) process over absent pairs, and deaths by jumping
+// between successes of a Bernoulli(q) process over the current edge
+// list. A step costs expected O(p·n² + q·|E_t|) draws and searches —
+// the churn — plus one bulk copy of the edges that did not change.
 package edgemeg
 
 import "math"

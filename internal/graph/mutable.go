@@ -39,6 +39,11 @@ type Mutable struct {
 
 	// rows, when attached, is kept coherent with the snapshot.
 	rows *DenseRows
+
+	// spareOffs/spareAdj/spareLens are the layout the last relayout
+	// replaced, recycled by the next one: rows of a view are invalid
+	// after the next ApplyDelta anyway, so nothing can still read them.
+	spareOffs, spareAdj, spareLens []int32
 }
 
 // rowSlack returns the storage capacity for a row of the given live
@@ -63,9 +68,10 @@ func NewMutable(g *Graph) *Mutable {
 // graph.Builder's round-level recycling, which is what lets the
 // engines pool one Mutable across runs instead of paying a fresh
 // O(n + m) allocation each time. Any attached DenseRows is detached
-// (runs must never share a matrix), and the epoch stamps keep
-// advancing so stale per-row scatter state can never alias the new
-// run's. Like NewMutable it panics on unsorted rows.
+// (runs must never share a matrix), the spare layout is dropped (a
+// pooled Mutable never holds one sized for an earlier run), and the
+// epoch stamps keep advancing so stale per-row scatter state can never
+// alias the new run's. Like NewMutable it panics on unsorted rows.
 func (m *Mutable) Reset(g *Graph) {
 	n := g.N()
 	if grow := n - len(m.adds); grow > 0 {
@@ -80,29 +86,15 @@ func (m *Mutable) Reset(g *Graph) {
 	m.newLen = m.newLen[:n]
 	m.dirty = m.dirty[:0]
 	m.rows = nil
+	m.spareOffs, m.spareAdj, m.spareLens = nil, nil, nil
 
-	offs := m.view.offs
-	if cap(offs) >= n+1 {
-		offs = offs[:n+1]
-	} else {
-		offs = make([]int32, n+1)
-	}
+	offs := resize(m.view.offs, n+1)
 	offs[0] = 0
 	for u := 0; u < n; u++ {
 		offs[u+1] = offs[u] + int32(rowSlack(g.Degree(u)))
 	}
-	adj := m.view.adj
-	if total := int(offs[n]); cap(adj) >= total {
-		adj = adj[:total]
-	} else {
-		adj = make([]int32, total)
-	}
-	lens := m.view.lens
-	if cap(lens) >= n {
-		lens = lens[:n]
-	} else {
-		lens = make([]int32, n)
-	}
+	adj := resize(m.view.adj, int(offs[n]))
+	lens := resize(m.view.lens, n)
 	for u := 0; u < n; u++ {
 		row := g.Neighbors(u)
 		for i := 1; i < len(row); i++ {
@@ -267,13 +259,15 @@ func (m *Mutable) rebuildInPlace(workers int) {
 	})
 }
 
-// relayout rebuilds the whole slack layout: fresh capacities from the
-// post-delta row lengths, clean rows copied, dirty rows merged directly
-// into their new (disjoint) slots. Amortized by the slack headroom, so
-// steady-state low-churn rounds essentially never pay it.
+// relayout rebuilds the whole slack layout into the spare arrays: fresh
+// capacities from the post-delta row lengths, clean rows copied, dirty
+// rows merged directly into their new (disjoint) slots; the old arrays
+// become the spares. Amortized by the slack headroom, so steady-state
+// low-churn rounds essentially never pay it.
 func (m *Mutable) relayout(workers int) {
 	n := m.view.n
-	newOffs := make([]int32, n+1)
+	newOffs := resize(m.spareOffs, n+1)
+	newOffs[0] = 0
 	for u := 0; u < n; u++ {
 		l := int(m.view.lens[u])
 		if m.touched[u] == m.epoch {
@@ -281,8 +275,8 @@ func (m *Mutable) relayout(workers int) {
 		}
 		newOffs[u+1] = newOffs[u] + int32(rowSlack(l))
 	}
-	newAdj := make([]int32, newOffs[n])
-	newLens := make([]int32, n)
+	newAdj := resize(m.spareAdj, int(newOffs[n]))
+	newLens := resize(m.spareLens, n)
 	par.ForBlocks(workers, n, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			off := m.view.offs[u]
@@ -297,7 +291,17 @@ func (m *Mutable) relayout(workers int) {
 			}
 		}
 	})
+	m.spareOffs, m.spareAdj, m.spareLens = m.view.offs, m.view.adj, m.view.lens
 	m.view.offs, m.view.adj, m.view.lens = newOffs, newAdj, newLens
+}
+
+// resize returns buf resliced to length n, or a fresh slice when its
+// capacity falls short. The contents are unspecified.
+func resize(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
 }
 
 // mergeRow writes (old ∪ adds) \ dels into dst. All three inputs are
