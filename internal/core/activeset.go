@@ -41,9 +41,9 @@ func SetActiveSetFracForTest(frac float64) func() {
 // — so it always holds exactly the uninformed nodes, ascending, and
 // enumerating it visits the same nodes in the same order as the
 // complement scan it replaces. Both kernels that use it only ever
-// mutate the informed set inside their own rounds, and both engines'
-// pull conditions are monotone (an informed set never shrinks), so
-// once active the list can never go stale.
+// mutate the informed set inside their own rounds, and once the list is
+// active every later round runs them (lossy flooding always does;
+// KernelAuto flooding stays on pull), so the list can never go stale.
 //
 // On top of the list, the deterministic flooding pull adds a skip
 // layer: an uninformed node can only gain an informed neighbor between

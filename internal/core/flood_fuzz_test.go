@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"meg/internal/graph"
@@ -47,22 +49,7 @@ func FuzzFloodKernels(f *testing.F) {
 				m[u*n+v] = !m[u*n+v]
 			}
 		}
-		gs := make([]*graph.Graph, k)
-		lists := make([][][]int32, k)
-		for i, m := range adj {
-			b := graph.NewBuilder(n)
-			lists[i] = make([][]int32, n)
-			for u := 0; u < n; u++ {
-				for v := u + 1; v < n; v++ {
-					if m[u*n+v] {
-						b.AddEdge(u, v)
-						lists[i][u] = append(lists[i][u], int32(v))
-						lists[i][v] = append(lists[i][v], int32(u))
-					}
-				}
-			}
-			gs[i] = b.Build()
-		}
+		gs, lists := snapshotsOf(n, adj)
 		src := int(source) % n
 		maxRounds := 1 + int(rounds)
 		want := floodOracle(lists, src, maxRounds)
@@ -98,6 +85,28 @@ func FuzzFloodKernels(f *testing.F) {
 			}
 		}
 	})
+}
+
+// snapshotsOf builds each upper-triangle matrix (m[u*n+v] for u < v)
+// as a graph, with sorted rows, and as the oracle's adjacency lists.
+func snapshotsOf(n int, mats [][]bool) ([]*graph.Graph, [][][]int32) {
+	gs := make([]*graph.Graph, len(mats))
+	lists := make([][][]int32, len(mats))
+	for i, m := range mats {
+		b := graph.NewBuilder(n)
+		lists[i] = make([][]int32, n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if m[u*n+v] {
+					b.AddEdge(u, v)
+					lists[i][u] = append(lists[i][u], int32(v))
+					lists[i][v] = append(lists[i][v], int32(u))
+				}
+			}
+		}
+		gs[i] = b.Build()
+	}
+	return gs, lists
 }
 
 // floodOracle is I_{t+1} = I_t ∪ N_{G_t}(I_t) written out directly: in
@@ -136,4 +145,97 @@ func floodOracle(lists [][][]int32, source, maxRounds int) FloodResult {
 	}
 	res.Informed = informedFromArrival(arrival)
 	return res
+}
+
+// FuzzFloodDelta checks the delta snapshot path against the same
+// oracle: a generated edge-MEG chain on n from 1 to 200 nodes, k from 1
+// to 32 snapshots (G_0 ~ G(n, p_0), then every present edge dies with
+// probability q and every absent one is born with q·p̂/(1−p̂)), replayed
+// cyclically with the delta of every step, last to first included.
+// p_0 ≠ p̂ starts the chain away from stationarity, so the average
+// degree, and with it KernelAuto's push/pull threshold, drifts.
+// Every kernel at Parallelism 1, 2 and 8, with the active-set crossover
+// at never, always and the default, floods it with SnapshotDelta and
+// must reproduce the oracle's FloodResult over the full snapshots. Once
+// the pull kernel reaches the straggler list, the Mutable retires the
+// informed rows, so this is also the end-to-end check of Retire. The
+// seed corpus lives in testdata/fuzz/FuzzFloodDelta and runs under
+// plain go test.
+func FuzzFloodDelta(f *testing.F) {
+	f.Fuzz(func(t *testing.T, nRaw, steps, start, density, churn uint8, seed uint64, source, rounds uint8) {
+		n := 1 + int(nRaw)%200
+		k := 1 + int(steps)%32
+		phat := float64(density) / 255
+		phat *= phat // most inputs sit near the connectivity threshold
+		q := float64(churn) / 255
+		born := 1.0
+		if phat < 1 {
+			born = math.Min(1, q*phat/(1-phat))
+		}
+		p0 := float64(start) / 255
+		p0 *= p0
+		r := rng.New(seed)
+		present := make([]bool, n*n) // present[u*n+v] for u < v
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				present[u*n+v] = r.Bernoulli(p0)
+			}
+		}
+		chain := make([][]bool, k)
+		for i := range chain {
+			chain[i] = append([]bool(nil), present...)
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if present[u*n+v] {
+						present[u*n+v] = !r.Bernoulli(q)
+					} else {
+						present[u*n+v] = r.Bernoulli(born)
+					}
+				}
+			}
+		}
+		gs, lists := snapshotsOf(n, chain)
+		deltas := make([]graph.Delta, k)
+		for i, cur := range chain {
+			next := chain[(i+1)%k]
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					switch was, is := cur[u*n+v], next[u*n+v]; {
+					case is && !was:
+						deltas[i].Births = append(deltas[i].Births, graph.PackEdge(u, v))
+					case was && !is:
+						deltas[i].Deaths = append(deltas[i].Deaths, graph.PackEdge(u, v))
+					}
+				}
+			}
+		}
+		src := int(source) % n
+		maxRounds := 1 + int(rounds)
+		want := floodOracle(lists, src, maxRounds)
+
+		for _, frac := range []float64{0, 1, defaultActiveSetFrac} {
+			restore := SetActiveSetFracForTest(frac)
+			for _, kernel := range []Kernel{KernelAuto, KernelPush, KernelPull} {
+				for _, par := range []int{1, 2, 8} {
+					d := &deltaSequence{Sequence: NewSequence(gs...), deltas: deltas}
+					got := FloodOpt(d, src, maxRounds, FloodOptions{Kernel: kernel, Parallelism: par, Snapshot: SnapshotDelta})
+					sameResult(t, fmt.Sprintf("delta/%s/P%d/frac=%g", kernel, par, frac), got, want)
+				}
+			}
+			restore()
+		}
+	})
+}
+
+// deltaSequence is a Sequence that also reports each step's edge
+// delta: deltas[i] takes snapshot i to snapshot i+1 mod k.
+type deltaSequence struct {
+	*Sequence
+	deltas []graph.Delta
+}
+
+func (s *deltaSequence) StepDelta() graph.Delta {
+	d := s.deltas[s.t%len(s.deltas)]
+	s.t++
+	return d
 }

@@ -198,9 +198,11 @@ type FloodOptions struct {
 	// Snapshot selects the per-round snapshot path: SnapshotFull (the
 	// default) rebuilds via Dynamics.Graph every round, SnapshotDelta
 	// maintains the snapshot incrementally from DeltaDynamics.StepDelta,
-	// rebuilding only the rows each round's churn touches. Dynamics
-	// without delta support fall back to the full path transparently;
-	// results are byte-identical either way. The Spreader path builds no
+	// rebuilding only the rows each round's churn touches — and, once
+	// the pull kernel reaches the straggler regime, only the rows of
+	// still-uninformed nodes (graph.Mutable.Retire). Dynamics without
+	// delta support fall back to the full path transparently; results
+	// are byte-identical either way. The Spreader path builds no
 	// snapshot and ignores the mode.
 	Snapshot SnapshotMode
 	// Stop, if non-nil, is polled once per round; when it returns true
@@ -303,6 +305,7 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 	st, isStatic := d.(*Static)
 	var rows *graph.DenseRows
 	rowsProbed := false
+	retired := false
 	// senders holds exactly the nodes of I_t; nodes discovered during
 	// round t are appended only after the round completes, enforcing
 	// the paper's synchronous semantics (a node informed at step t does
@@ -338,6 +341,11 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 			pull = true
 		case opt.Kernel == KernelPush:
 			// never pull
+		case eng.uninf.active:
+			// Sticky: the straggler list and the retired rows below
+			// assume every later round pulls, and a per-round AvgDegree
+			// threshold could otherwise flip back to push.
+			pull = true
 		default:
 			th := thresh
 			if th <= 0 {
@@ -382,6 +390,21 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 		}
 		if h != nil {
 			h.EndPhase(PhaseKernel)
+		}
+		if pull && eng.uninf.active && !retired {
+			// Straggler regime: from here on the pull kernel reads only
+			// uninformed rows, so the delta apply stops rebuilding the
+			// informed ones. The O(m) key-set build is delta-apply work.
+			retired = true
+			if mut := snap.mutable(); mut != nil {
+				if h != nil {
+					h.BeginPhase(PhaseDeltaApply)
+				}
+				mut.Retire(informed)
+				if h != nil {
+					h.EndPhase(PhaseDeltaApply)
+				}
+			}
 		}
 		senders = append(senders, newly...)
 		res.Trajectory = append(res.Trajectory, len(senders))

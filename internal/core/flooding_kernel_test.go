@@ -165,6 +165,53 @@ func TestKernelEquivalenceIncomplete(t *testing.T) {
 }
 
 // TestPullThresholdFor pins the auto switch point derivation.
+// TestAutoPullStaysOnAfterActivation pins KernelAuto's sticky pull. The
+// sequence A, A, B has a dense A (a clique on nodes 0–39, plus the edge
+// 60–61) and a sparse B (0–60 and 1–61 only), so the derived push/pull
+// threshold rises from about a quarter of n to a half between rounds 1
+// and 2. Round 1 pulls and, with the crossover pinned to always, starts
+// the straggler list; on the delta path it also retires the informed
+// rows. Had round 2 switched back to push, it would read the retired
+// rows of 0 and 1 (on the delta path), or leave 60 and 61 in the list
+// for round 3 to count a second time (on the full path).
+func TestAutoPullStaysOnAfterActivation(t *testing.T) {
+	const n = 100
+	a, b := graph.NewBuilder(n), graph.NewBuilder(n)
+	for u := 0; u < 40; u++ {
+		for v := u + 1; v < 40; v++ {
+			a.AddEdge(u, v)
+		}
+	}
+	a.AddEdge(60, 61)
+	b.AddEdge(0, 60)
+	b.AddEdge(1, 61)
+	gs := []*graph.Graph{a.Build(), a.Build(), b.Build()}
+	lists := make([][][]int32, len(gs))
+	deltas := make([]graph.Delta, len(gs))
+	for i, g := range gs {
+		lists[i] = make([][]int32, n)
+		next := gs[(i+1)%len(gs)]
+		for u := 0; u < n; u++ {
+			lists[i][u] = g.Neighbors(u)
+			for v := u + 1; v < n; v++ {
+				switch was, is := g.HasEdge(u, v), next.HasEdge(u, v); {
+				case is && !was:
+					deltas[i].Births = append(deltas[i].Births, graph.PackEdge(u, v))
+				case was && !is:
+					deltas[i].Deaths = append(deltas[i].Deaths, graph.PackEdge(u, v))
+				}
+			}
+		}
+	}
+	want := floodOracle(lists, 0, 10)
+	defer SetActiveSetFracForTest(1)()
+	for _, mode := range []SnapshotMode{SnapshotFull, SnapshotDelta} {
+		d := &deltaSequence{Sequence: NewSequence(gs...), deltas: deltas}
+		got := FloodOpt(d, 0, 10, FloodOptions{Snapshot: mode})
+		sameResult(t, "auto/"+mode.String(), got, want)
+	}
+}
+
 func TestPullThresholdFor(t *testing.T) {
 	if got := pullThresholdFor(100); math.Abs(got-0.1) > 1e-12 {
 		t.Fatalf("pullThresholdFor(100) = %v, want 0.1", got)

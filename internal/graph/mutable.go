@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 
+	"meg/internal/bitset"
 	"meg/internal/par"
 )
 
@@ -21,7 +22,9 @@ import (
 //
 // The *Graph returned by Graph is a live view: ApplyDelta updates it in
 // place (same pointer), mirroring the "snapshot valid until the next
-// Step" aliasing contract of the dynamics themselves.
+// Step" aliasing contract of the dynamics themselves. After Retire the
+// view covers only the rows of nodes outside the retired set; the
+// edge count and an attached DenseRows stay exact.
 type Mutable struct {
 	view Graph
 
@@ -44,6 +47,12 @@ type Mutable struct {
 	// replaced, recycled by the next one: rows of a view are invalid
 	// after the next ApplyDelta anyway, so nothing can still read them.
 	spareOffs, spareAdj, spareLens []int32
+
+	// done is the retired set, nil until Retire; keys then holds every
+	// edge of the snapshot, so keys between two retired nodes are still
+	// validated. The table is kept across Reset for reuse.
+	done *bitset.Set
+	keys edgeSet
 }
 
 // rowSlack returns the storage capacity for a row of the given live
@@ -69,9 +78,10 @@ func NewMutable(g *Graph) *Mutable {
 // engines pool one Mutable across runs instead of paying a fresh
 // O(n + m) allocation each time. Any attached DenseRows is detached
 // (runs must never share a matrix), the spare layout is dropped (a
-// pooled Mutable never holds one sized for an earlier run), and the
-// epoch stamps keep advancing so stale per-row scatter state can never
-// alias the new run's. Like NewMutable it panics on unsorted rows.
+// pooled Mutable never holds one sized for an earlier run), the retired
+// set is dropped (every row is maintained again), and the epoch stamps
+// keep advancing so stale per-row scatter state can never alias the new
+// run's. Like NewMutable it panics on unsorted rows.
 func (m *Mutable) Reset(g *Graph) {
 	n := g.N()
 	if grow := n - len(m.adds); grow > 0 {
@@ -87,6 +97,7 @@ func (m *Mutable) Reset(g *Graph) {
 	m.dirty = m.dirty[:0]
 	m.rows = nil
 	m.spareOffs, m.spareAdj, m.spareLens = nil, nil, nil
+	m.done = nil
 
 	offs := resize(m.view.offs, n+1)
 	offs[0] = 0
@@ -114,8 +125,35 @@ func (m *Mutable) N() int { return m.view.n }
 // Graph returns the live snapshot view. The pointer stays valid across
 // ApplyDelta calls — the contents update in place — and must be treated
 // like any dynamics snapshot: stale copies of its rows are invalid
-// after the next ApplyDelta.
+// after the next ApplyDelta. After Retire, the rows of retired nodes
+// hold unspecified contents; M, AvgDegree and the rows of every other
+// node stay exact.
 func (m *Mutable) Graph() *Graph { return &m.view }
+
+// Retire stops maintaining the rows of the nodes in done: from the next
+// ApplyDelta on, only rows of nodes outside done are touched, merged
+// and stamped, and retired rows keep unspecified contents. done is
+// aliased, not copied, and may only grow until the next Reset, which
+// drops it. It is the flooding engine's straggler-regime contract: the
+// pull kernel reads only uninformed rows, so informed rows are dead
+// weight that churn would otherwise keep rebuilding.
+//
+// Validation keeps full strength. Retire builds, in O(m), an exact set
+// of the snapshot's edge keys, which every later delta is checked
+// against and folded into — so a birth already present or a death
+// absent is rejected even between two retired nodes. Retire panics if
+// done spans another universe or the Mutable is already retired.
+func (m *Mutable) Retire(done *bitset.Set) {
+	if done.Len() != m.view.n {
+		panic("graph: Retire universe mismatch")
+	}
+	if m.done != nil {
+		panic("graph: Retire called twice without a Reset")
+	}
+	m.keys.reset(m.view.mCount)
+	m.view.ForEachEdge(func(u, v int) { m.keys.insert(PackEdge(u, v)) })
+	m.done = done
+}
 
 // SetDenseRows attaches a dense adjacency matrix that ApplyDelta keeps
 // coherent with the snapshot (births set the mirrored bit pair, deaths
@@ -129,7 +167,8 @@ func (m *Mutable) SetDenseRows(r *DenseRows) {
 }
 
 // RowStamps exposes the per-row epoch stamps: row u was touched by the
-// most recent non-empty ApplyDelta iff RowStamps()[u] == Epoch(). The
+// most recent non-empty ApplyDelta iff RowStamps()[u] == Epoch(), for
+// every u outside the retired set (retired rows are never stamped). The
 // test is conservative in the safe direction — after an empty apply
 // (which changes nothing and leaves the epoch alone), after Reset, and
 // before the first apply it may report rows changed that were not, but
@@ -154,7 +193,8 @@ func (m *Mutable) Epoch() uint32 { return m.epoch }
 // Births and Deaths must be ascending PackEdge lists, disjoint from
 // each other, with births absent from and deaths present in the current
 // snapshot; ApplyDelta panics on any violation rather than corrupting
-// the view.
+// the view. After Retire, rows of retired nodes are left alone and the
+// edge-key set checks every key instead.
 func (m *Mutable) ApplyDelta(d Delta, workers int) {
 	if d.Empty() {
 		return
@@ -172,6 +212,9 @@ func (m *Mutable) ApplyDelta(d Delta, workers int) {
 	m.dirty = m.dirty[:0]
 	m.scatter(d.Births, m.adds, "births")
 	m.scatter(d.Deaths, m.dels, "deaths")
+	if m.done != nil {
+		m.keys.apply(d)
+	}
 
 	// Per dirty row the new length is exact arithmetic — births are
 	// absent, deaths present — so capacity fits are known before any
@@ -199,12 +242,16 @@ func (m *Mutable) ApplyDelta(d Delta, workers int) {
 }
 
 // scatter distributes one delta list into per-row neighbor lists,
-// recording first-touched rows in m.dirty. Because the list is sorted
-// by (u, v) key, every row's scattered neighbors arrive ascending: for
-// row w the (x, w) entries (x < w, ascending) all precede the (w, v)
-// entries (v > w, ascending).
+// recording first-touched rows in m.dirty and skipping retired rows.
+// Because the list is sorted by (u, v) key, every row's scattered
+// neighbors arrive ascending: for row w the (x, w) entries (x < w,
+// ascending) all precede the (w, v) entries (v > w, ascending).
 func (m *Mutable) scatter(keys []uint64, into [][]int32, kind string) {
 	n := m.view.n
+	var done []uint64
+	if m.done != nil {
+		done = m.done.Words()
+	}
 	var prev uint64
 	for i, k := range keys {
 		if i > 0 && k <= prev {
@@ -215,10 +262,14 @@ func (m *Mutable) scatter(keys []uint64, into [][]int32, kind string) {
 		if u < 0 || v <= u || v >= n {
 			panic(fmt.Sprintf("graph: ApplyDelta %s edge (%d,%d) out of range n=%d", kind, u, v, n))
 		}
-		m.touch(int32(u))
-		m.touch(int32(v))
-		into[u] = append(into[u], int32(v))
-		into[v] = append(into[v], int32(u))
+		if done == nil || done[u>>6]&(1<<(uint(u)&63)) == 0 {
+			m.touch(int32(u))
+			into[u] = append(into[u], int32(v))
+		}
+		if done == nil || done[v>>6]&(1<<(uint(v)&63)) == 0 {
+			m.touch(int32(v))
+			into[v] = append(into[v], int32(u))
+		}
 	}
 }
 
@@ -262,18 +313,22 @@ func (m *Mutable) rebuildInPlace(workers int) {
 // relayout rebuilds the whole slack layout into the spare arrays: fresh
 // capacities from the post-delta row lengths, clean rows copied, dirty
 // rows merged directly into their new (disjoint) slots; the old arrays
-// become the spares. Amortized by the slack headroom, so steady-state
-// low-churn rounds essentially never pay it.
+// become the spares. Retired rows get no storage and length zero.
+// Amortized by the slack headroom, so steady-state low-churn rounds
+// essentially never pay it.
 func (m *Mutable) relayout(workers int) {
 	n := m.view.n
 	newOffs := resize(m.spareOffs, n+1)
 	newOffs[0] = 0
 	for u := 0; u < n; u++ {
-		l := int(m.view.lens[u])
-		if m.touched[u] == m.epoch {
-			l = int(m.newLen[u])
+		c := 0
+		switch {
+		case m.touched[u] == m.epoch:
+			c = rowSlack(int(m.newLen[u]))
+		case !m.retired(u):
+			c = rowSlack(int(m.view.lens[u]))
 		}
-		newOffs[u+1] = newOffs[u] + int32(rowSlack(l))
+		newOffs[u+1] = newOffs[u] + int32(c)
 	}
 	newAdj := resize(m.spareAdj, int(newOffs[n]))
 	newLens := resize(m.spareLens, n)
@@ -285,6 +340,8 @@ func (m *Mutable) relayout(workers int) {
 				nl := int(m.newLen[u])
 				mergeRow(newAdj[newOffs[u]:newOffs[u]+int32(nl)], old, m.adds[u], m.dels[u], u)
 				newLens[u] = int32(nl)
+			} else if m.retired(u) {
+				newLens[u] = 0
 			} else {
 				copy(newAdj[newOffs[u]:], old)
 				newLens[u] = m.view.lens[u]
@@ -295,6 +352,9 @@ func (m *Mutable) relayout(workers int) {
 	m.view.offs, m.view.adj, m.view.lens = newOffs, newAdj, newLens
 }
 
+// retired reports whether u's row is no longer maintained.
+func (m *Mutable) retired(u int) bool { return m.done != nil && m.done.Contains(u) }
+
 // resize returns buf resliced to length n, or a fresh slice when its
 // capacity falls short. The contents are unspecified.
 func resize(buf []int32, n int) []int32 {
@@ -304,29 +364,33 @@ func resize(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// mergeRow writes (old ∪ adds) \ dels into dst. All three inputs are
-// ascending; adds must be disjoint from old and dels a subset of it —
-// violations panic, naming the row.
+// mergeRow writes (old ∪ adds) \ dels into dst, which is sized by the
+// length arithmetic len(old) + len(adds) − len(dels). All three inputs
+// are ascending; adds must be disjoint from old and dels a subset of it
+// — violations panic, naming the row.
 func mergeRow(dst, old, adds, dels []int32, row int) {
 	i, j, k, out := 0, 0, 0, 0
 	for i < len(old) || j < len(adds) {
+		var v int32
 		if j >= len(adds) || (i < len(old) && old[i] < adds[j]) {
-			v := old[i]
+			v = old[i]
 			i++
 			if k < len(dels) && dels[k] == v {
 				k++
 				continue
 			}
-			dst[out] = v
-			out++
 		} else {
 			if i < len(old) && old[i] == adds[j] {
 				panic(fmt.Sprintf("graph: ApplyDelta birth of an edge already present in row %d", row))
 			}
-			dst[out] = adds[j]
+			v = adds[j]
 			j++
-			out++
 		}
+		if out == len(dst) { // more survivors than the arithmetic allowed
+			panic(fmt.Sprintf("graph: ApplyDelta death of an edge absent from row %d", row))
+		}
+		dst[out] = v
+		out++
 	}
 	if k != len(dels) {
 		panic(fmt.Sprintf("graph: ApplyDelta death of an edge absent from row %d", row))

@@ -3,6 +3,7 @@ package graph
 import (
 	"testing"
 
+	"meg/internal/bitset"
 	"meg/internal/rng"
 )
 
@@ -10,20 +11,25 @@ import (
 // checks it after every step against a fresh Builder build of the same
 // edge set (and, once attached, its dense rows against fresh
 // NewDenseRows). n runs from 1 to 96 and the start is a G(n, d) sample
-// from the seed. Each op byte names a node u = b>>2 mod n and one of:
+// from the seed. Each op byte b names a node u = b/5 mod n (so nodes
+// 0–51) and, by b mod 5, one of:
 //
 //	0: a random churn round (births 2%, deaths 20%, from the seed)
 //	1: fill u — every absent pair at u is born, forcing a relayout once
 //	   the row outgrows its slack
 //	2: empty u — every present pair at u dies
 //	3: attach dense rows, or, when attached, Reset to a fresh build
-//	   (which detaches them)
+//	   (which detaches them and drops the retired set)
+//	4: retire u — u joins the retired set; the first such op calls
+//	   Retire
 //
 // so a chain empties and refills rows, relayouts repeatedly — each
-// relayout recycling the arrays the previous one replaced — and keeps
-// an attached DenseRows coherent. The live view pointer must survive
-// every delta. The seed corpus lives in testdata/fuzz/FuzzMutableDelta
-// and runs under plain go test.
+// relayout recycling the arrays the previous one replaced — keeps an
+// attached DenseRows coherent, and goes on after nodes retire. Every
+// row of an unretired node, M() and the dense rows must match the
+// fresh build, and the live view pointer must survive every delta.
+// The seed corpus lives in testdata/fuzz/FuzzMutableDelta and runs
+// under plain go test.
 func FuzzMutableDelta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nRaw, density, workers uint8, seed uint64, ops []byte) {
 		n := 1 + int(nRaw)%96
@@ -50,13 +56,24 @@ func FuzzMutableDelta(f *testing.F) {
 		}
 		m := NewMutable(buildFromKeys(n, keys()))
 		view := m.Graph()
+		done := bitset.New(n)
 		for step, op := range ops {
-			u := int(op>>2) % n
-			if op%4 == 3 {
+			u := int(op/5) % n
+			switch op % 5 {
+			case 3:
 				if m.rows == nil {
-					m.SetDenseRows(NewDenseRows(m.Graph(), w))
+					// From a fresh build: after Retire the view no
+					// longer holds every row.
+					m.SetDenseRows(NewDenseRows(buildFromKeys(n, keys()), w))
 				} else {
 					m.Reset(buildFromKeys(n, keys()))
+					done = bitset.New(n)
+				}
+				continue
+			case 4:
+				done.Add(u)
+				if m.done == nil {
+					m.Retire(done)
 				}
 				continue
 			}
@@ -86,7 +103,7 @@ func FuzzMutableDelta(f *testing.F) {
 				t.Fatalf("step %d: ApplyDelta replaced the live view", step)
 			}
 			want := buildFromKeys(n, keys())
-			graphsEqual(t, "mutable", m.Graph(), want)
+			liveRowsEqual(t, "mutable", m.Graph(), want, done)
 			if m.rows != nil {
 				fresh := NewDenseRows(want, 1)
 				for v := 0; v < n; v++ {

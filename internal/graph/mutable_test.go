@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
+	"meg/internal/bitset"
 	"meg/internal/rng"
 )
 
@@ -63,10 +66,20 @@ func randomDelta(n int, keys []uint64, born, die float64, r *rng.RNG) (Delta, []
 
 func graphsEqual(t *testing.T, label string, got, want *Graph) {
 	t.Helper()
+	liveRowsEqual(t, label, got, want, nil)
+}
+
+// liveRowsEqual checks got against want on the edge count and on the
+// rows of every node outside done (all rows when done is nil).
+func liveRowsEqual(t *testing.T, label string, got, want *Graph, done *bitset.Set) {
+	t.Helper()
 	if got.N() != want.N() || got.M() != want.M() {
 		t.Fatalf("%s: size (n=%d,m=%d) vs (n=%d,m=%d)", label, got.N(), got.M(), want.N(), want.M())
 	}
 	for u := 0; u < want.N(); u++ {
+		if done != nil && done.Contains(u) {
+			continue
+		}
 		g, w := got.Neighbors(u), want.Neighbors(u)
 		if len(g) != len(w) {
 			t.Fatalf("%s: row %d length %d vs %d", label, u, len(g), len(w))
@@ -202,18 +215,75 @@ func TestNewMutableRejectsUnsortedRows(t *testing.T) {
 	expectPanic(t, "unsorted", func() { NewMutable(g) })
 }
 
+// TestApplyDeltaRejectsInconsistentDeltas pins ApplyDelta's validation,
+// before and after Retire: a birth already present, a death absent, a
+// key that is both, unsorted keys and out-of-range keys all panic with
+// their message, whether the key has no retired endpoint, one, or two.
+// With nodes 4–7 retired, a key between two of them touches no row at
+// all, so only the Mutable's edge-key set can catch it.
 func TestApplyDeltaRejectsInconsistentDeltas(t *testing.T) {
-	base := []uint64{PackEdge(0, 1), PackEdge(1, 2)}
-	fresh := func() *Mutable { return NewMutable(buildFromKeys(4, base)) }
-	expectPanic(t, "birth of present edge", func() {
-		fresh().ApplyDelta(Delta{Births: []uint64{PackEdge(0, 1)}}, 1)
-	})
-	expectPanic(t, "death of absent edge", func() {
-		fresh().ApplyDelta(Delta{Deaths: []uint64{PackEdge(0, 2)}}, 1)
-	})
-	expectPanic(t, "unsorted births", func() {
-		fresh().ApplyDelta(Delta{Births: []uint64{PackEdge(0, 3), PackEdge(0, 2)}}, 1)
-	})
+	base := []uint64{
+		PackEdge(0, 1), PackEdge(1, 2), PackEdge(1, 4), PackEdge(2, 3),
+		PackEdge(4, 5), PackEdge(5, 6), PackEdge(6, 7),
+	}
+	raw := func(u, v int) uint64 { return uint64(u)<<32 | uint64(v) } // unordered pair
+	// Per endpoint class: a present key, two absent keys (ascending)
+	// and a reversed pair.
+	classes := []struct {
+		name            string
+		present, a1, a2 uint64
+		reversed        uint64
+	}{
+		{"no endpoint retired", PackEdge(0, 1), PackEdge(0, 2), PackEdge(0, 3), raw(2, 1)},
+		{"one endpoint retired", PackEdge(1, 4), PackEdge(2, 5), PackEdge(2, 6), raw(5, 1)},
+		{"both endpoints retired", PackEdge(4, 5), PackEdge(4, 6), PackEdge(4, 7), raw(6, 4)},
+	}
+	for _, c := range classes {
+		cases := []struct {
+			name, want string
+			d          Delta
+		}{
+			{"birth present", "birth of an edge already present", Delta{Births: []uint64{c.present}}},
+			{"death absent", "death of an edge absent", Delta{Deaths: []uint64{c.a1}}},
+			{"birth and death of a present edge", "birth of an edge already present",
+				Delta{Births: []uint64{c.present}, Deaths: []uint64{c.present}}},
+			{"birth and death of an absent edge", "death of an edge absent",
+				Delta{Births: []uint64{c.a1}, Deaths: []uint64{c.a1}}},
+			{"unsorted births", "births not strictly ascending", Delta{Births: []uint64{c.a2, c.a1}}},
+			{"repeated deaths", "deaths not strictly ascending", Delta{Deaths: []uint64{c.present, c.present}}},
+			{"reversed pair", "out of range", Delta{Births: []uint64{c.reversed}}},
+			{"node past n", "out of range", Delta{Deaths: []uint64{c.a1 + 8}}},
+		}
+		for _, tc := range cases {
+			for _, retire := range []bool{false, true} {
+				label := fmt.Sprintf("%s/%s/retired=%v", c.name, tc.name, retire)
+				m := NewMutable(buildFromKeys(8, base))
+				if retire {
+					done := bitset.New(8)
+					for u := 4; u < 8; u++ {
+						done.Add(u)
+					}
+					m.Retire(done)
+				}
+				msg := panicMessage(func() { m.ApplyDelta(tc.d, 1) })
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: panic %q, want it to contain %q", label, msg, tc.want)
+				}
+			}
+		}
+	}
+}
+
+// panicMessage runs fn and returns what it panicked with, or "" when it
+// returned normally.
+func panicMessage(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
 }
 
 // TestMutableResetMatchesFresh pins the pooling contract: a Mutable

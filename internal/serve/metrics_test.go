@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"meg/internal/spec"
@@ -279,9 +280,14 @@ func TestPprofGated(t *testing.T) {
 func TestExecutorTelemetryEvents(t *testing.T) {
 	e := &Executor{}
 	s := testSpec(64)
+	// Execute calls the sink from concurrent trials, so the counters
+	// are guarded.
+	var mu sync.Mutex
 	var rounds, telemetry int
 	var lastKernel int64
 	res, err := e.Execute(context.Background(), s, func(ev Event) {
+		mu.Lock()
+		defer mu.Unlock()
 		switch ev.Type {
 		case "round":
 			rounds++

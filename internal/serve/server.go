@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -115,13 +116,22 @@ type submitResponse struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+	// MaxBytesReader stops the read at the limit and tells the server to
+	// close the connection, so an oversized body is never drained. Only
+	// the server's own writer can take that signal, so it gets the one
+	// beneath the middleware's statusWriter.
+	rw := w
+	if sw, ok := w.(*statusWriter); ok {
+		rw = sw.ResponseWriter
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, maxSpecBytes))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "spec exceeds %d bytes", maxSpecBytes)
 		return
 	}
-	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "spec exceeds %d bytes", maxSpecBytes)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
 	sp, err := spec.Parse(body)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -216,6 +217,31 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("unknown field status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestOversizedSpec posts one byte past the spec limit: the server must
+// answer 413 with its size message and close the connection instead of
+// reading on.
+func TestOversizedSpec(t *testing.T) {
+	ts, _, shutdown := newTestServer(t)
+	defer shutdown()
+
+	body := bytes.Repeat([]byte(" "), maxSpecBytes+1)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec status %d, want 413", resp.StatusCode)
+	}
+	if !resp.Close {
+		t.Error("oversized spec response keeps the connection open")
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	if want := fmt.Sprintf("spec exceeds %d bytes", maxSpecBytes); !strings.Contains(string(msg), want) {
+		t.Errorf("oversized spec body %q, want it to contain %q", msg, want)
+	}
 }
 
 func TestHealthz(t *testing.T) {
