@@ -7,44 +7,6 @@ import (
 	"meg/internal/par"
 )
 
-// ForBlockCells invokes fn for each distinct cell of c's 3×3 block on
-// a cellsPer×cellsPer grid, wrapping toroidally when torus is set.
-// Callers guarantee cellsPer ≥ 3 (smaller grids use brute force), so
-// the nine cells are distinct.
-func ForBlockCells(cellsPer int, torus bool, c int, fn func(cell int)) {
-	ForBlockCellsLayout(cellsPer, torus, nil, c, fn)
-}
-
-// ForBlockCellsLayout is ForBlockCells under an explicit cell layout:
-// with mo nil, cell indices are row-major (cy·k+cx); with a Morton
-// layout, c and the indices handed to fn are dense Z-order ranks. The
-// nine cells visited are the same geometric block either way — only
-// their numbering changes.
-func ForBlockCellsLayout(cellsPer int, torus bool, mo *Morton, c int, fn func(cell int)) {
-	k := cellsPer
-	var cx, cy int
-	if mo != nil {
-		cx, cy = int(mo.cellX[c]), int(mo.cellY[c])
-	} else {
-		cx, cy = c%k, c/k
-	}
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			x, y := cx+dx, cy+dy
-			if torus {
-				x, y = (x+k)%k, (y+k)%k
-			} else if x < 0 || x >= k || y < 0 || y >= k {
-				continue
-			}
-			if mo != nil {
-				fn(int(mo.index[y*k+x]))
-			} else {
-				fn(y*k + x)
-			}
-		}
-	}
-}
-
 // Blocks is the merged 3×3 candidate index over a cell list: for every
 // cell, the ascending node list of its whole block. Built once per
 // snapshot, it lets an edge sweep binary-search straight to a node's
@@ -57,29 +19,24 @@ type Blocks struct {
 	nbhd []int32
 }
 
-// Build recomputes the index from a cell list (starts/order in the
-// counting-sort layout both models produce: within a cell, node ids
-// ascend). Per-cell segments are disjoint, so the parallel rebuild is
-// byte-identical for every worker count.
-func (b *Blocks) Build(cellsPer int, torus bool, starts, order []int32, workers int) {
-	b.BuildLayout(cellsPer, torus, nil, starts, order, workers)
-}
-
-// BuildLayout is Build under an explicit cell layout (nil = row-major;
-// see ForBlockCellsLayout). Each cell's merged segment is sorted by
-// node id regardless of layout, so downstream sweeps see identical
-// candidate lists — the layout only changes which segments are memory
-// neighbors.
-func (b *Blocks) BuildLayout(cellsPer int, torus bool, mo *Morton, starts, order []int32, workers int) {
-	cells := cellsPer * cellsPer
+// Build recomputes the index from a cell list in the given layout
+// (starts/order in counting-sort form: within a cell, node ids
+// ascend). Each cell's merged segment is sorted by node id, so the
+// candidate lists do not depend on the layout, and per-cell segments
+// are disjoint, so the parallel rebuild is byte-identical for every
+// worker count.
+func (b *Blocks) Build(mo *Morton, starts, order []int32, workers int) {
+	cells := mo.k * mo.k
 	if len(b.offs) < cells+1 {
 		b.offs = make([]int32, cells+1)
 	}
 	offs := b.offs
 	offs[0] = 0
-	for c := 0; c < cells; c++ {
+	for c := range cells {
 		size := int32(0)
-		ForBlockCellsLayout(cellsPer, torus, mo, c, func(bc int) { size += starts[bc+1] - starts[bc] })
+		for _, bc := range mo.Block(int32(c)) {
+			size += starts[bc+1] - starts[bc]
+		}
 		offs[c+1] = offs[c] + size
 	}
 	total := int(offs[cells])
@@ -92,10 +49,13 @@ func (b *Blocks) BuildLayout(cellsPer int, torus bool, mo *Morton, starts, order
 		for c := lo; c < hi; c++ {
 			seg := nbhd[offs[c]:offs[c+1]]
 			i := 0
-			ForBlockCellsLayout(cellsPer, torus, mo, c, func(bc int) {
+			block := mo.Block(int32(c))
+			for _, bc := range block {
 				i += copy(seg[i:], order[starts[bc]:starts[bc+1]])
-			})
-			slices.Sort(seg)
+			}
+			if len(block) > 1 { // one cell's members already ascend
+				slices.Sort(seg)
+			}
 		}
 	})
 }

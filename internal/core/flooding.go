@@ -152,7 +152,9 @@ type DegreeHinter interface {
 // the snapshot G_t. On a geometric-MEG, I_{t+1} = I_t ∪ {v : ∃u ∈ I_t,
 // d(P_u, P_v) ≤ R} needs node positions only, so the model answers it
 // from its cell grid instead of writing every edge of G_t into a CSR.
-// Under KernelAuto, FloodOpt takes this path whenever the dynamics
+// Every geometric-family model implements it (geommeg.Model and
+// mobility.Dynamics, through the shared celldelta.Grid). Under
+// KernelAuto, FloodOpt takes this path whenever the dynamics
 // implements it: each round calls IndexInformed and then Spread, and
 // the chain advances with Step; Graph is never called. Pinned kernels
 // keep the snapshot path, which is the reference the spread is tested
@@ -174,9 +176,9 @@ type Spreader interface {
 type FloodOptions struct {
 	// Kernel selects the per-round strategy (default KernelAuto).
 	// Under KernelAuto a dynamics that implements Spreader (the
-	// geometric models) floods from its own spatial index instead of a
-	// snapshot; pin KernelPush or KernelPull to force the snapshot
-	// kernels.
+	// geometric family: the lattice walk and every mobility process)
+	// floods from its own cell grid instead of a snapshot; pin
+	// KernelPush or KernelPull to force the snapshot kernels.
 	Kernel Kernel
 	// PullThreshold overrides the informed-set fraction at which
 	// KernelAuto switches push→pull. ≤ 0 means derive it — 1/√d̄
@@ -200,10 +202,11 @@ type FloodOptions struct {
 	// maintains the snapshot incrementally from DeltaDynamics.StepDelta,
 	// rebuilding only the rows each round's churn touches — and, once
 	// the pull kernel reaches the straggler regime, only the rows of
-	// still-uninformed nodes (graph.Mutable.Retire). Dynamics without
-	// delta support fall back to the full path transparently; results
-	// are byte-identical either way. The Spreader path builds no
-	// snapshot and ignores the mode.
+	// still-uninformed nodes (graph.Mutable.Retire). Of the factory
+	// models only the edge-MEG supports it; the others (the geometric
+	// family, under pinned kernels) fall back to the full path
+	// transparently, and results are byte-identical either way. The
+	// Spreader path builds no snapshot and ignores the mode.
 	Snapshot SnapshotMode
 	// Stop, if non-nil, is polled once per round; when it returns true
 	// the run aborts immediately with Completed == false and Rounds set

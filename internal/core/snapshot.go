@@ -11,11 +11,11 @@ import (
 // DeltaDynamics is optionally implemented by Dynamics that can report
 // each step's edge churn directly: StepDelta advances the chain exactly
 // like Step but additionally returns the births and deaths G_t → G_{t+1}
-// as packed edge lists. In the low-churn regimes the paper centers —
-// edge-MEGs with small p and q, geometric walks with small move radius —
-// the delta is a vanishing fraction of the snapshot, and the engines
-// fold it into a graph.Mutable instead of paying a full O(n + m)
-// rebuild per round.
+// as packed edge lists. In the low-churn regime the paper centers —
+// edge-MEGs with small p and q — the delta is a vanishing fraction of
+// the snapshot, and the engines fold it into a graph.Mutable instead of
+// paying a full O(n + m) rebuild per round. The edge-MEG implements it;
+// the geometric family floods from its cell grid instead (Spreader).
 //
 // Contract: the realization (the snapshot sequence) must be identical
 // whether the chain is advanced by Step or StepDelta, the returned

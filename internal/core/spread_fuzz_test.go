@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"meg/internal/geommeg"
+	"meg/internal/mobility"
 	"meg/internal/rng"
 )
 
@@ -42,5 +43,50 @@ func FuzzGeometricSpread(f *testing.F) {
 			return FloodOpt(m, src, maxRounds, opt)
 		}
 		sameResult(t, "spread vs push", run(FloodOptions{}), run(FloodOptions{Kernel: KernelPush}))
+	})
+}
+
+// FuzzMobilitySpread is FuzzGeometricSpread for the mobility processes:
+// a generated mobility.Dynamics floods under KernelAuto through its
+// cell grid (Spreader), and the result must be byte-equal to the pinned
+// push kernel over CSR snapshots of the same realization. The inputs
+// cover all seven processes (the torus ones among them), node counts
+// from 2 to 1024, radii from sub-threshold to a grid coarse enough to
+// be a single cell, slow to fast motion, the worker count, the seed and
+// the source. The restricted disk with a wide roam clamps many nodes
+// onto the square's far edge, where the grid must clamp its cell too.
+// The seed corpus lives in testdata/fuzz/FuzzMobilitySpread.
+func FuzzMobilitySpread(f *testing.F) {
+	f.Fuzz(func(t *testing.T, nRaw uint16, process, rMul, speed, par uint8, seed uint64, source uint16) {
+		n := 2 + int(nRaw)%1023
+		side := math.Sqrt(float64(n))
+		radius := side * float64(rMul%64+1) / 96 // 96 cells per axis down to 1
+		s := side * float64(speed%32+1) / 64
+		newMobility := func() mobility.Mobility {
+			switch process % 7 {
+			case 0:
+				return mobility.NewWaypointTorus(n, side, s/2, s)
+			case 1:
+				return mobility.NewBilliard(n, side, s, 0.1)
+			case 2:
+				return mobility.NewWalkersTorus(n, side, s)
+			case 3:
+				return mobility.NewRestrictedDisk(n, side, s)
+			case 4:
+				return mobility.NewLevyTorus(n, side, 1.5, s/8, s)
+			case 5:
+				return mobility.NewGaussMarkov(n, side, 0.75, s/4)
+			default:
+				return mobility.NewWaypointSquare(n, side, s/2, s)
+			}
+		}
+		src := int(source) % n
+		maxRounds := min(DefaultRoundCap(n), 256)
+		run := func(opt FloodOptions) FloodResult {
+			d := mobility.NewDynamics(newMobility(), radius)
+			d.Reset(rng.New(seed))
+			return FloodOpt(d, src, maxRounds, opt)
+		}
+		sameResult(t, "spread vs push", run(FloodOptions{Parallelism: 1 + int(par%3)}), run(FloodOptions{Kernel: KernelPush}))
 	})
 }

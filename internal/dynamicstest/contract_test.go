@@ -9,8 +9,8 @@ import (
 
 // modelCases covers every model the spec factory knows, at a size
 // small enough to exercise many steps, plus the lazy lattice variants
-// whose low-churn rounds are the incremental path's home turf and a
-// geometric grid small enough for the brute-force pair scan.
+// (few movers per round), a low-churn edge-MEG for the incremental
+// path, and a geometric grid coarse enough to be a single cell.
 var modelCases = []struct {
 	name string
 	m    spec.Model
@@ -54,28 +54,29 @@ func TestSpreadContractAllModels(t *testing.T) {
 	}
 }
 
+// geometricFamily lists the factory models that flood through the
+// shared cell grid.
+var geometricFamily = []string{"geometric", "torus", "waypoint", "billiard", "walkers", "iiddisk"}
+
 // TestSpreaderModels pins which factory models flood without a
 // snapshot, so the spread check above is never vacuous for them.
 func TestSpreaderModels(t *testing.T) {
-	for _, name := range []string{"geometric", "torus"} {
+	for _, name := range geometricFamily {
 		if _, ok := modelFactory(t, name, spec.Model{Name: name, N: 128, RFrac: 0.5})().(core.Spreader); !ok {
 			t.Errorf("%s: does not implement core.Spreader", name)
 		}
 	}
 }
 
-// TestAllFactoryModelsAreDeltaCapable pins the capability matrix: every
-// model the spec factory builds must speak the incremental protocol, so
-// the snapshot=delta execution hint is never a silent no-op.
-func TestAllFactoryModelsAreDeltaCapable(t *testing.T) {
-	for _, name := range []string{"geometric", "torus", "edge", "waypoint", "billiard", "walkers", "iiddisk"} {
-		s := spec.Spec{Model: spec.Model{Name: name, N: 128, RFrac: 0.5}}
-		factory, _, err := s.NewFactory()
-		if err != nil {
-			t.Fatalf("%s: NewFactory: %v", name, err)
-		}
-		if _, ok := factory().(core.DeltaDynamics); !ok {
-			t.Errorf("%s: does not implement core.DeltaDynamics", name)
+// TestDeltaCapabilityMatrix pins which factory models speak the
+// incremental snapshot protocol: the edge-MEG does, and the geometric
+// family does not (it floods through its cell grid, and a snapshot=delta
+// hint falls back to full rebuilds there).
+func TestDeltaCapabilityMatrix(t *testing.T) {
+	for _, name := range append([]string{"edge"}, geometricFamily...) {
+		_, delta := modelFactory(t, name, spec.Model{Name: name, N: 128, RFrac: 0.5})().(core.DeltaDynamics)
+		if want := name == "edge"; delta != want {
+			t.Errorf("%s: implements core.DeltaDynamics = %v, want %v", name, delta, want)
 		}
 	}
 }

@@ -114,22 +114,13 @@ func (l *lattice) wrap(x int) int {
 
 // adjacent reports whether two positions are within transmission radius
 // R, using the metric of the model (Euclidean, toroidal on the torus).
+// Positions lie in [0, period) on the torus, so a coordinate difference
+// folds with one comparison. The body stays small enough to inline
+// into the grid scans.
 func (l *lattice) adjacent(ax, ay, bx, by int32) bool {
-	dx := int(ax) - int(bx)
-	dy := int(ay) - int(by)
+	dx, dy := abs(int(ax)-int(bx)), abs(int(ay)-int(by))
 	if l.torus {
-		dx = l.torusDelta(dx)
-		dy = l.torusDelta(dy)
+		dx, dy = min(dx, l.period-dx), min(dy, l.period-dy)
 	}
-	d2 := float64(dx)*float64(dx) + float64(dy)*float64(dy)
-	return d2 <= l.radius2
-}
-
-// torusDelta folds a coordinate difference into [-period/2, period/2].
-func (l *lattice) torusDelta(d int) int {
-	d = abs(d) % l.period
-	if 2*d > l.period {
-		d = l.period - d
-	}
-	return d
+	return float64(dx*dx+dy*dy) <= l.radius2
 }

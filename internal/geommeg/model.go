@@ -22,33 +22,16 @@ type Model struct {
 	lat *lattice
 	r   *rng.RNG
 
-	// ix, iy are node positions in lattice units.
-	ix, iy []int32
+	// pos holds node positions in lattice units.
+	pos []point
 
-	// Cell-list scratch for snapshot construction.
-	cellSize   int // cell side in lattice units (≥ R/ε)
-	cellsPer   int // cells per axis
-	cellCounts []int32
-	cellStarts []int32
-	cellOrder  []int32
-	nodeCell   []int32
-	cellsValid bool // cellStarts/cellOrder/nodeCell match current positions
-	// morton is the cache-aware Z-order cell numbering (nil under brute
-	// force): 3×3 block neighbors are memory neighbors, so the merged
-	// block index and the sweep walk nearly sequentially at large n.
-	// Cell numbering never reaches snapshots or deltas, so the layout
-	// is invisible to results.
-	morton     *celldelta.Morton
-	builder    *graph.Builder
-	g          *graph.Graph
-	dirty      bool
-	bruteForce bool // too few cells for a 3×3 scan: compare all pairs
+	// grid is the cell index over pos behind Graph and the
+	// snapshot-free flooding round (core.Spreader).
+	grid *celldelta.Grid[point]
 
-	// parallel is the snapshot-build worker count (core.Parallelizable);
-	// snapshots are byte-identical for every value.
+	// parallel is the walk's and the snapshot build's worker count
+	// (core.Parallelizable); results are byte-identical for every value.
 	parallel int
-	// sweep holds the parallel cell sweep's per-block edge buffers.
-	sweep graph.BlockSweep
 
 	// Counter-based walk state: every per-node decision in round t is
 	// drawn from the stream keyed (base, node, t), so Step realizations
@@ -57,32 +40,13 @@ type Model struct {
 	base uint64
 	t    uint64
 
-	// blocks holds, per cell, the merged ascending node list of its
-	// 3×3 block — rebuilt once per snapshot so the edge sweep can
-	// binary-search to each node's v > u suffix and emit sorted rows
-	// with no per-node sort.
-	blocks celldelta.Blocks
-
-	// moveBufs holds the parallel walk's per-block moved-node lists;
-	// movedNodes is their concatenation in block order (ascending).
-	moveBufs   [][]int32
-	movedNodes []int32
-
-	// Incremental (StepDelta) machinery, allocated on first use:
-	// time-t positions, the time-t cell structure (double-buffered with
-	// the current one), the moved markers, and the shared moved-node
-	// churn classifier.
-	prevIx, prevIy []int32
-	oldCellStarts  []int32
-	oldCellOrder   []int32
-	oldNodeCell    []int32
-	movedMark      []bool
-	classifier     celldelta.Classifier
-
-	// spread is the snapshot-free flooding round's scratch
-	// (core.Spreader), allocated on first use.
-	spread spreadIndex
+	// moves counts, per block of the parallel walk, the nodes whose
+	// position changed in the last step.
+	moves []int
 }
+
+// point is a lattice position.
+type point struct{ x, y int32 }
 
 // New returns a model for the given configuration. The model is not
 // usable until Reset is called.
@@ -92,28 +56,18 @@ func New(cfg Config) (*Model, error) {
 	}
 	cfg = cfg.withDefaults()
 	m := &Model{
-		cfg:     cfg,
-		lat:     newLattice(cfg),
-		ix:      make([]int32, cfg.N),
-		iy:      make([]int32, cfg.N),
-		builder: graph.NewBuilder(cfg.N),
+		cfg: cfg,
+		lat: newLattice(cfg),
+		pos: make([]point, cfg.N),
 	}
-	points := m.lat.points()
-	cl := int(m.cfg.R/m.cfg.Eps) + 1 // ≥ R/ε, so neighbors sit in the 3×3 block
-	k := points / cl
-	if k < 1 {
-		k = 1
-	}
-	m.cellSize = cl
-	m.cellsPer = k
-	m.bruteForce = k < 3
-	if !m.bruteForce {
-		m.morton = celldelta.NewMorton(k)
-	}
-	m.cellCounts = make([]int32, k*k+1)
-	m.cellStarts = make([]int32, k*k+1)
-	m.cellOrder = make([]int32, cfg.N)
-	m.nodeCell = make([]int32, cfg.N)
+	// Cells of cl ≥ R/ε lattice units: a neighbor is at most cl−1
+	// units away along each axis, so it sits in the 3×3 block.
+	cl := int(m.cfg.R/m.cfg.Eps) + 1
+	m.grid = celldelta.NewGrid(m.pos, float64(m.lat.points()), float64(cl), m.lat.torus, celldelta.Scans[point]{
+		Locate: m.locate,
+		Sweep:  m.sweep,
+		Spread: m.spreadCell,
+	})
 	return m, nil
 }
 
@@ -143,6 +97,7 @@ func (m *Model) SetParallelism(workers int) {
 		workers = 1
 	}
 	m.parallel = par.Workers(workers)
+	m.grid.SetWorkers(m.parallel)
 }
 
 // Side returns the physical side length of the support square.
@@ -171,28 +126,25 @@ func (m *Model) Reset(r *rng.RNG) {
 	case InitStationary:
 		if m.lat.torus {
 			// On the torus |Γ| is constant, so π is exactly uniform.
-			for i := range m.ix {
-				m.ix[i] = int32(r.Intn(points))
-				m.iy[i] = int32(r.Intn(points))
+			for i := range m.pos {
+				m.pos[i] = point{int32(r.Intn(points)), int32(r.Intn(points))}
 			}
 			break
 		}
-		for i := range m.ix {
-			m.ix[i], m.iy[i] = m.sampleStationaryPos()
+		for i := range m.pos {
+			m.pos[i] = m.sampleStationaryPos()
 		}
 	case InitUniform:
-		for i := range m.ix {
-			m.ix[i] = int32(r.Intn(points))
-			m.iy[i] = int32(r.Intn(points))
+		for i := range m.pos {
+			m.pos[i] = point{int32(r.Intn(points)), int32(r.Intn(points))}
 		}
 	case InitClustered:
 		lim := points / 8
 		if lim < 1 {
 			lim = 1
 		}
-		for i := range m.ix {
-			m.ix[i] = int32(r.Intn(lim))
-			m.iy[i] = int32(r.Intn(lim))
+		for i := range m.pos {
+			m.pos[i] = point{int32(r.Intn(lim)), int32(r.Intn(lim))}
 		}
 	default:
 		panic("geommeg: unknown init mode")
@@ -201,9 +153,7 @@ func (m *Model) Reset(r *rng.RNG) {
 	// the initial distribution is untouched by the stream discipline.
 	m.base = r.Uint64()
 	m.t = 0
-	m.dirty = true
-	m.cellsValid = false
-	m.spread.ready = false
+	m.grid.Moved()
 }
 
 // sampleStationaryPos draws one position from π(x) ∝ |Γ(x)| by
@@ -211,14 +161,14 @@ func (m *Model) Reset(r *rng.RNG) {
 // accepted with probability |Γ(x)|/Γ_max. Acceptance is at least ≈ 1/4
 // (the corner ball is about a quarter of the full ball), so the loop
 // terminates quickly.
-func (m *Model) sampleStationaryPos() (int32, int32) {
+func (m *Model) sampleStationaryPos() point {
 	points := m.lat.points()
 	for {
 		ix := m.r.Intn(points)
 		iy := m.r.Intn(points)
 		g := m.lat.gamma(ix, iy)
 		if g == m.lat.gammaMax || m.r.Float64()*float64(m.lat.gammaMax) < float64(g) {
-			return int32(ix), int32(iy)
+			return point{int32(ix), int32(iy)}
 		}
 	}
 }
@@ -237,25 +187,20 @@ func (m *Model) Step() {
 	if m.r == nil {
 		panic("geommeg: Step before Reset")
 	}
-	m.advance()
-	m.spread.ready = false
-	if len(m.movedNodes) > 0 {
-		m.dirty = true
-		m.cellsValid = false
+	if m.advance() > 0 {
+		m.grid.Moved()
 	}
 }
 
-// advance performs one synchronous walk step on the worker pool,
-// recording the nodes whose position actually changed (per contiguous
-// block, concatenated in block order, hence ascending).
-func (m *Model) advance() {
-	m.movedNodes = m.movedNodes[:0]
+// advance performs one synchronous walk step on the worker pool and
+// returns how many nodes changed position.
+func (m *Model) advance() int {
 	rho := m.lat.rho
 	m.t++
 	if rho == 0 {
 		// Move radius below the resolution: Γ(x) = {x}; positions are
 		// frozen but the snapshot sequence is still well-defined.
-		return
+		return 0
 	}
 	n := m.cfg.N
 	span := 2*rho + 1
@@ -267,18 +212,18 @@ func (m *Model) advance() {
 	if workers > n {
 		workers = n
 	}
-	if len(m.moveBufs) < workers {
-		m.moveBufs = append(m.moveBufs, make([][]int32, workers-len(m.moveBufs))...)
+	if len(m.moves) < workers {
+		m.moves = make([]int, workers)
 	}
 	t := m.t - 1 // the round being evaluated
 	par.ForBlocks(workers, n, func(blk, lo, hi int) {
-		buf := m.moveBufs[blk][:0]
+		moved := 0
 		for u := lo; u < hi; u++ {
 			lr := rng.At(m.base, uint64(u), t)
 			if jump < 1 && !lr.Bernoulli(jump) {
 				continue
 			}
-			x, y := int(m.ix[u]), int(m.iy[u])
+			x, y := int(m.pos[u].x), int(m.pos[u].y)
 			for {
 				dx := lr.Intn(span) - rho
 				dy := lr.Intn(span) - rho
@@ -292,190 +237,45 @@ func (m *Model) advance() {
 					continue
 				}
 				if nx != x || ny != y {
-					m.ix[u], m.iy[u] = int32(nx), int32(ny)
-					buf = append(buf, int32(u))
+					m.pos[u] = point{int32(nx), int32(ny)}
+					moved++
 				}
 				break
 			}
 		}
-		m.moveBufs[blk] = buf
+		m.moves[blk] = moved
 	})
-	for blk := 0; blk < workers; blk++ {
-		m.movedNodes = append(m.movedNodes, m.moveBufs[blk]...)
+	total := 0
+	for _, c := range m.moves[:workers] {
+		total += c
 	}
-}
-
-// StepDelta implements core.DeltaDynamics: it advances the walk with
-// the exact same draws as Step and returns the edge churn computed
-// locally — only the 3×3 cell neighborhoods around each moved node's
-// old and new position are examined, so the cost scales with how many
-// nodes moved (the Jump·n expectation) instead of with n. The time-t
-// cell structure is kept double-buffered for the backward-looking scan.
-func (m *Model) StepDelta() graph.Delta {
-	if m.r == nil {
-		panic("geommeg: StepDelta before Reset")
-	}
-	n := m.cfg.N
-	if m.prevIx == nil {
-		m.prevIx = make([]int32, n)
-		m.prevIy = make([]int32, n)
-		m.movedMark = make([]bool, n)
-	}
-	if !m.bruteForce {
-		if !m.cellsValid {
-			m.buildCells()
-		}
-		m.swapCells()
-	}
-	copy(m.prevIx, m.ix)
-	copy(m.prevIy, m.iy)
-	m.advance()
-	m.spread.ready = false
-	if !m.bruteForce {
-		m.buildCells()
-	}
-	if len(m.movedNodes) == 0 {
-		return graph.Delta{}
-	}
-	m.dirty = true
-	return m.classifier.Classify(celldelta.Config{
-		N:         m.cfg.N,
-		CellsPer:  m.cellsPer,
-		Torus:     m.lat.torus,
-		Morton:    m.morton,
-		Brute:     m.bruteForce,
-		Moved:     m.movedNodes,
-		MovedMark: m.movedMark,
-		Old: celldelta.Grid{
-			NodeCell: m.oldNodeCell, Starts: m.oldCellStarts, Order: m.oldCellOrder,
-			Adjacent: func(u, v int) bool {
-				return m.lat.adjacent(m.prevIx[u], m.prevIy[u], m.prevIx[v], m.prevIy[v])
-			},
-		},
-		New: celldelta.Grid{
-			NodeCell: m.nodeCell, Starts: m.cellStarts, Order: m.cellOrder,
-			Adjacent: func(u, v int) bool {
-				return m.lat.adjacent(m.ix[u], m.iy[u], m.ix[v], m.iy[v])
-			},
-		},
-	}, m.parallel)
-}
-
-// swapCells exchanges the current cell structure with the old-structure
-// buffers (allocating them on first use), preserving the time-t view
-// for StepDelta's backward scan.
-func (m *Model) swapCells() {
-	if m.oldCellStarts == nil {
-		k := m.cellsPer
-		m.oldCellStarts = make([]int32, k*k+1)
-		m.oldCellOrder = make([]int32, m.cfg.N)
-		m.oldNodeCell = make([]int32, m.cfg.N)
-	}
-	m.cellStarts, m.oldCellStarts = m.oldCellStarts, m.cellStarts
-	m.cellOrder, m.oldCellOrder = m.oldCellOrder, m.cellOrder
-	m.nodeCell, m.oldNodeCell = m.oldNodeCell, m.nodeCell
-	m.cellsValid = false
-}
-
-// cellIndexOf returns the flat cell index of lattice position (x, y)
-// in the model's Z-order layout (row-major under brute force, where
-// cells are never built). The last cell per axis absorbs the remainder
-// so that every cell is at least R/ε wide and the 3×3 neighbor scan is
-// exhaustive.
-func (m *Model) cellIndexOf(x, y int32) int32 {
-	cx := int(x) / m.cellSize
-	cy := int(y) / m.cellSize
-	if cx >= m.cellsPer {
-		cx = m.cellsPer - 1
-	}
-	if cy >= m.cellsPer {
-		cy = m.cellsPer - 1
-	}
-	return m.morton.Cell(cx, cy)
+	return total
 }
 
 // Graph implements core.Dynamics: it materializes the current snapshot
-// with a cell-list sweep (cells of side ≥ R, 3×3 neighborhood scan),
-// O(n + m) plus the geometric cost of distance checks. Buffers are
-// reused across steps.
-func (m *Model) Graph() *graph.Graph {
-	if !m.dirty {
-		return m.g
-	}
-	n := m.cfg.N
-	m.builder.Reset(n)
-	if m.bruteForce {
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if m.lat.adjacent(m.ix[u], m.iy[u], m.ix[v], m.iy[v]) {
-					m.builder.AddEdge(u, v)
-				}
-			}
-		}
-		m.g = m.builder.Build()
-		m.dirty = false
-		return m.g
-	}
+// with the grid's cell-list sweep (cells of side ≥ R, 3×3 neighborhood
+// scan), O(n + m) plus the geometric cost of distance checks. Buffers
+// are reused across steps.
+func (m *Model) Graph() *graph.Graph { return m.grid.Graph() }
 
-	if !m.cellsValid {
-		m.buildCells()
+// locate is the grid's Locate scan.
+func (m *Model) locate(cells []int32) {
+	for u, p := range m.pos {
+		cells[u] = m.grid.Cell(float64(p.x), float64(p.y))
 	}
-	m.blocks.BuildLayout(m.cellsPer, m.lat.torus, m.morton, m.cellStarts, m.cellOrder, m.parallel)
-
-	// Edge sweep: per contiguous node block, each worker emits its
-	// block's (u, v > u) edges into a private buffer in the same order
-	// the serial u-ascending loop would; graph.BlockSweep concatenates
-	// blocks in order, reproducing the serial edge list — and with it
-	// the CSR snapshot — byte-identically for every worker count.
-	m.g = m.sweep.Run(m.builder, m.parallel, n, func(lo, hi int, srcs, dsts []int32) ([]int32, []int32) {
-		return m.sweepRange(lo, hi, srcs, dsts)
-	})
-	m.dirty = false
-	return m.g
 }
 
-// buildCells (re)computes the cell list — nodeCell, cellStarts,
-// cellOrder — for the current positions. Within a cell, nodes appear in
-// ascending id (the counting sort visits u ascending).
-func (m *Model) buildCells() {
-	n := m.cfg.N
-	k := m.cellsPer
-	counts := m.cellCounts[:k*k+1]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for u := 0; u < n; u++ {
-		c := m.cellIndexOf(m.ix[u], m.iy[u])
-		m.nodeCell[u] = c
-		counts[c+1]++
-	}
-	starts := m.cellStarts[:k*k+1]
-	starts[0] = 0
-	for i := 1; i <= k*k; i++ {
-		starts[i] = starts[i-1] + counts[i]
-	}
-	cursor := counts[:k*k] // reuse as cursor array
-	copy(cursor, starts[:k*k])
-	for u := 0; u < n; u++ {
-		c := m.nodeCell[u]
-		m.cellOrder[cursor[c]] = int32(u)
-		cursor[c]++
-	}
-	m.cellsValid = true
-}
-
-// sweepRange scans nodes [lo, hi): each node u walks the ascending
-// v > u suffix of its cell's merged 3×3 candidate list, so edges come
-// out in ascending-u order with fully sorted rows — the canonical
-// order the incremental graph.Mutable path merges against (the
-// smaller-endpoint prefix of a CSR row is ascending automatically) —
-// with no per-node filtering or sorting.
-func (m *Model) sweepRange(lo, hi int, srcs, dsts []int32) ([]int32, []int32) {
+// sweep is the grid's Sweep scan: each node u walks the ascending v > u
+// suffix of its block's candidates, so edges come out in ascending-u
+// order with fully sorted rows, the canonical order graph.Mutable
+// merges against.
+func (m *Model) sweep(lo, hi int, srcs, dsts []int32) ([]int32, []int32) {
 	for u := lo; u < hi; u++ {
-		for _, v := range m.blocks.After(m.nodeCell[u], u) {
-			if m.lat.adjacent(m.ix[u], m.iy[u], m.ix[v], m.iy[v]) {
+		p := m.pos[u]
+		for _, v := range m.grid.After(u) {
+			if q := m.pos[v]; m.lat.adjacent(p.x, p.y, q.x, q.y) {
 				srcs = append(srcs, int32(u))
-				dsts = append(dsts, int32(v))
+				dsts = append(dsts, v)
 			}
 		}
 	}
@@ -485,8 +285,8 @@ func (m *Model) sweepRange(lo, hi int, srcs, dsts []int32) ([]int32, []int32) {
 // Position returns the physical coordinates of node u.
 func (m *Model) Position(u int) geom.Point {
 	return geom.Point{
-		X: float64(m.ix[u]) * m.cfg.Eps,
-		Y: float64(m.iy[u]) * m.cfg.Eps,
+		X: float64(m.pos[u].x) * m.cfg.Eps,
+		Y: float64(m.pos[u].y) * m.cfg.Eps,
 	}
 }
 
@@ -501,7 +301,7 @@ func (m *Model) Positions(dst []geom.Point) []geom.Point {
 // Gamma returns |Γ(x)| for node u's current position — the stationary
 // weight of that position (up to normalization).
 func (m *Model) Gamma(u int) int {
-	return m.lat.gamma(int(m.ix[u]), int(m.iy[u]))
+	return m.lat.gamma(int(m.pos[u].x), int(m.pos[u].y))
 }
 
 // GammaAt returns |Γ(x)| for the lattice position with indices (ix, iy).

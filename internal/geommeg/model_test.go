@@ -140,7 +140,7 @@ func TestStationarySamplerMatchesGamma(t *testing.T) {
 		m.Reset(r.Split())
 		// Two nodes per reset: both positions are i.i.d. π.
 		for u := 0; u < 2; u++ {
-			counts[int(m.ix[u])*pts+int(m.iy[u])]++
+			counts[int(m.pos[u].x)*pts+int(m.pos[u].y)]++
 		}
 	}
 	for idx, w := range weights {
@@ -193,13 +193,12 @@ func TestStepUniformOverGamma(t *testing.T) {
 	r := rng.New(11)
 	m.Reset(r)
 	gammaSize := m.GammaAt(0, 0)
-	counts := map[[2]int32]int{}
+	counts := map[point]int{}
 	const reps = 30000
 	for i := 0; i < reps; i++ {
-		m.ix[0], m.iy[0] = 0, 0
-		m.dirty = true
+		m.pos[0] = point{0, 0}
 		m.Step()
-		counts[[2]int32{m.ix[0], m.iy[0]}]++
+		counts[m.pos[0]]++
 	}
 	if len(counts) != gammaSize {
 		t.Fatalf("reached %d positions, want |Γ|=%d", len(counts), gammaSize)
@@ -247,7 +246,7 @@ func TestGraphAgainstBruteForce(t *testing.T) {
 			n := cfg.N
 			for u := 0; u < n; u++ {
 				for v := u + 1; v < n; v++ {
-					want := m.lat.adjacent(m.ix[u], m.iy[u], m.ix[v], m.iy[v])
+					want := m.lat.adjacent(m.pos[u].x, m.pos[u].y, m.pos[v].x, m.pos[v].y)
 					if got := g.HasEdge(u, v); got != want {
 						t.Fatalf("trial %d (torus=%v): edge (%d,%d) = %v, want %v",
 							trial, torus, u, v, got, want)
@@ -268,7 +267,7 @@ func TestAdjacentMatchesPhysicalDistance(t *testing.T) {
 	for u := 0; u < 40; u++ {
 		for v := u + 1; v < 40; v++ {
 			want := m.Position(u).Dist(m.Position(v)) <= cfg.R+1e-9
-			got := m.lat.adjacent(m.ix[u], m.iy[u], m.ix[v], m.iy[v])
+			got := m.lat.adjacent(m.pos[u].x, m.pos[u].y, m.pos[v].x, m.pos[v].y)
 			if got != want {
 				du := m.Position(u).Dist(m.Position(v))
 				if math.Abs(du-cfg.R) > 1e-6 { // ignore exact-boundary float ties
@@ -408,9 +407,9 @@ func TestTorusSeamAdjacency(t *testing.T) {
 		m := mkMod(torus)
 		m.Reset(rng.New(41))
 		pts := m.LatticePoints()
-		m.ix[0], m.iy[0] = 0, 5
-		m.ix[1], m.iy[1] = int32(pts-1), 5
-		m.dirty = true
+		m.pos[0] = point{0, 5}
+		m.pos[1] = point{int32(pts - 1), 5}
+		m.grid.Moved()
 		g := m.Graph()
 		// Gap across the seam: square distance pts-1 ≈ 19…20 (never
 		// adjacent); torus distance 20-(pts-1) = 1 or 2 (adjacent).

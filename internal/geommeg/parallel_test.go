@@ -57,9 +57,9 @@ func TestWalkParallelismByteIdentical(t *testing.T) {
 			serial.Step()
 			sharded.Step()
 			for u := 0; u < cfg.N; u++ {
-				if serial.ix[u] != sharded.ix[u] || serial.iy[u] != sharded.iy[u] {
+				if serial.pos[u].x != sharded.pos[u].x || serial.pos[u].y != sharded.pos[u].y {
 					t.Fatalf("jump=%g step %d: node %d at (%d,%d) vs (%d,%d)",
-						jump, s, u, serial.ix[u], serial.iy[u], sharded.ix[u], sharded.iy[u])
+						jump, s, u, serial.pos[u].x, serial.pos[u].y, sharded.pos[u].x, sharded.pos[u].y)
 				}
 			}
 		}
@@ -67,14 +67,12 @@ func TestWalkParallelismByteIdentical(t *testing.T) {
 }
 
 // TestLazyWalkHoldsMostNodes sanity-checks the lazy walk: with a small
-// jump probability, most nodes hold their position each round, and the
-// delta stream reflects only the movers.
+// jump probability, most nodes hold their position each round.
 func TestLazyWalkHoldsMostNodes(t *testing.T) {
 	cfg := Config{N: 4000, R: 4, MoveRadius: 2, Jump: 0.05}
 	m := MustNew(cfg)
 	m.Reset(rng.New(4))
-	m.Step()
-	moved := len(m.movedNodes)
+	moved := m.advance()
 	if moved == 0 || moved > cfg.N/5 {
 		t.Fatalf("jump=0.05 moved %d of %d nodes", moved, cfg.N)
 	}

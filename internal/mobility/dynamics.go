@@ -1,6 +1,9 @@
 package mobility
 
 import (
+	"math"
+
+	"meg/internal/bitset"
 	"meg/internal/celldelta"
 	"meg/internal/geom"
 	"meg/internal/graph"
@@ -11,80 +14,42 @@ import (
 // Dynamics adapts any Mobility into a core.Dynamics: the snapshot at
 // time t connects every pair of nodes within transmission radius R,
 // under the Euclidean metric (or the toroidal metric when the mobility
-// wraps). Snapshots are built with a cell-list sweep in O(n + m).
+// wraps). Snapshots are built with a cell-list sweep in O(n + m), and
+// flooding rounds run on the same cell grid without a snapshot
+// (core.Spreader).
 type Dynamics struct {
 	mob    Mobility
 	radius float64
+	r2     float64 // radius², the adjacency threshold
+	torus  bool
+	side   float64
 
-	cellsPer   int
-	cellSize   float64
-	counts     []int32
-	starts     []int32
-	order      []int32
-	nodeCell   []int32
-	cellsValid bool // starts/order/nodeCell match current positions
-	// morton is the cache-aware Z-order cell numbering (nil under brute
-	// force); see geommeg.Model for the rationale. Cell numbering never
-	// reaches snapshots or deltas, so the layout is invisible to
-	// results.
-	morton  *celldelta.Morton
-	builder *graph.Builder
-	g       *graph.Graph
-	dirty   bool
-	brute   bool
-
-	// parallel is the snapshot-build worker count
-	// (core.Parallelizable); snapshots are byte-identical for every
-	// value.
-	parallel int
-	sweep    graph.BlockSweep
-
-	// blocks holds, per cell, the merged ascending node list of its
-	// 3×3 block — rebuilt once per snapshot so the edge sweep can
-	// binary-search to each node's v > u suffix and emit sorted rows
-	// with no per-node sort.
-	blocks celldelta.Blocks
-
-	// Incremental (StepDelta) machinery, allocated on first use: the
-	// time-t positions, the time-t cell structure (double-buffered with
-	// the current one), moved markers, and the shared moved-node churn
-	// classifier.
-	prev        []geom.Point
-	oldStarts   []int32
-	oldOrder    []int32
-	oldNodeCell []int32
-	moved       []int32
-	movedMark   []bool
-	classifier  celldelta.Classifier
+	// pos is the positions copied from mob at each cell rebuild, so the
+	// scans read a plain slice instead of calling Position per pair.
+	pos  []geom.Point
+	grid *celldelta.Grid[geom.Point]
 }
 
 // NewDynamics wraps mob with transmission radius R. It panics if R is
-// not positive or exceeds the region side.
+// not positive; a radius above a third of the side makes the grid
+// a single cell.
 func NewDynamics(mob Mobility, radius float64) *Dynamics {
 	if radius <= 0 {
 		panic("mobility: transmission radius must be positive")
 	}
-	side := mob.Side()
-	k := int(side / radius)
-	if k < 1 {
-		k = 1
-	}
-	n := mob.N()
 	d := &Dynamics{
-		mob:      mob,
-		radius:   radius,
-		cellsPer: k,
-		cellSize: side / float64(k),
-		counts:   make([]int32, k*k+1),
-		starts:   make([]int32, k*k+1),
-		order:    make([]int32, n),
-		nodeCell: make([]int32, n),
-		builder:  graph.NewBuilder(n),
-		brute:    k < 3,
+		mob:    mob,
+		radius: radius,
+		r2:     radius * radius,
+		torus:  mob.Torus(),
+		side:   mob.Side(),
+		pos:    make([]geom.Point, mob.N()),
 	}
-	if !d.brute {
-		d.morton = celldelta.NewMorton(k)
-	}
+	d.grid = celldelta.NewGrid(d.pos, d.side, radius, d.torus, celldelta.Scans[geom.Point]{
+		Locate: d.locate,
+		Sweep:  d.sweep,
+		Spread: d.spreadCell,
+	})
 	return d
 }
 
@@ -100,9 +65,10 @@ func (d *Dynamics) SetParallelism(workers int) {
 	if workers == 0 {
 		workers = 1
 	}
-	d.parallel = par.Workers(workers)
+	workers = par.Workers(workers)
+	d.grid.SetWorkers(workers)
 	if pm, ok := d.mob.(parallelMover); ok {
-		pm.SetParallelism(d.parallel)
+		pm.SetParallelism(workers)
 	}
 }
 
@@ -115,205 +81,81 @@ func (d *Dynamics) N() int { return d.mob.N() }
 // Reset implements core.Dynamics.
 func (d *Dynamics) Reset(r *rng.RNG) {
 	d.mob.Reset(r)
-	d.dirty = true
-	d.cellsValid = false
+	d.grid.Moved()
 }
 
 // Step implements core.Dynamics.
 func (d *Dynamics) Step() {
 	d.mob.Move()
-	d.dirty = true
-	d.cellsValid = false
-}
-
-// StepDelta implements core.DeltaDynamics: it advances the mobility
-// process exactly like Step and returns the edge churn computed from
-// the nodes whose position actually changed — each scans the 3×3 cell
-// neighborhoods around its old and new position (old structure kept
-// double-buffered), so the cost scales with the movers, not with n.
-// For the always-moving mobility processes that is no saving, but the
-// capability keeps the engine-side delta path uniform across models.
-func (d *Dynamics) StepDelta() graph.Delta {
-	n := d.mob.N()
-	if d.prev == nil {
-		d.prev = make([]geom.Point, n)
-		d.movedMark = make([]bool, n)
-	}
-	if !d.brute {
-		if !d.cellsValid {
-			d.buildCells()
-		}
-		d.swapCells()
-	}
-	for u := 0; u < n; u++ {
-		d.prev[u] = d.mob.Position(u)
-	}
-	d.mob.Move()
-	d.moved = d.moved[:0]
-	for u := 0; u < n; u++ {
-		if d.mob.Position(u) != d.prev[u] {
-			d.moved = append(d.moved, int32(u))
-		}
-	}
-	d.cellsValid = false
-	if !d.brute {
-		d.buildCells()
-	}
-	if len(d.moved) == 0 {
-		return graph.Delta{}
-	}
-	d.dirty = true
-	return d.classifier.Classify(celldelta.Config{
-		N:         n,
-		CellsPer:  d.cellsPer,
-		Torus:     d.mob.Torus(),
-		Morton:    d.morton,
-		Brute:     d.brute,
-		Moved:     d.moved,
-		MovedMark: d.movedMark,
-		Old: celldelta.Grid{
-			NodeCell: d.oldNodeCell, Starts: d.oldStarts, Order: d.oldOrder,
-			Adjacent: func(u, v int) bool { return d.adjacentPts(d.prev[u], d.prev[v]) },
-		},
-		New: celldelta.Grid{
-			NodeCell: d.nodeCell, Starts: d.starts, Order: d.order,
-			Adjacent: func(u, v int) bool { return d.adjacentPts(d.mob.Position(u), d.mob.Position(v)) },
-		},
-	}, d.parallel)
-}
-
-// swapCells exchanges the current cell structure with the old-structure
-// buffers (allocated on first use), preserving the time-t view for
-// StepDelta's backward scan.
-func (d *Dynamics) swapCells() {
-	if d.oldStarts == nil {
-		k := d.cellsPer
-		d.oldStarts = make([]int32, k*k+1)
-		d.oldOrder = make([]int32, d.mob.N())
-		d.oldNodeCell = make([]int32, d.mob.N())
-	}
-	d.starts, d.oldStarts = d.oldStarts, d.starts
-	d.order, d.oldOrder = d.oldOrder, d.order
-	d.nodeCell, d.oldNodeCell = d.oldNodeCell, d.nodeCell
-	d.cellsValid = false
-}
-
-// adjacent reports whether nodes u and v are within radius under the
-// region's metric.
-func (d *Dynamics) adjacent(u, v int) bool {
-	return d.adjacentPts(d.mob.Position(u), d.mob.Position(v))
-}
-
-// adjacentPts reports whether two positions are within radius under
-// the region's metric.
-func (d *Dynamics) adjacentPts(pu, pv geom.Point) bool {
-	r2 := d.radius * d.radius
-	if d.mob.Torus() {
-		return geom.TorusDist2(pu, pv, d.mob.Side()) <= r2
-	}
-	return pu.Dist2(pv) <= r2
-}
-
-// cellIndexOf returns the flat cell index of position p in the Z-order
-// layout (row-major under brute force, where cells are never built);
-// the last cell per axis absorbs boundary points.
-func (d *Dynamics) cellIndexOf(p geom.Point) int32 {
-	k := d.cellsPer
-	cx := int(p.X / d.cellSize)
-	cy := int(p.Y / d.cellSize)
-	if cx >= k {
-		cx = k - 1
-	}
-	if cy >= k {
-		cy = k - 1
-	}
-	if cx < 0 {
-		cx = 0
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	return d.morton.Cell(cx, cy)
+	d.grid.Moved()
 }
 
 // Graph implements core.Dynamics.
-func (d *Dynamics) Graph() *graph.Graph {
-	if !d.dirty {
-		return d.g
+func (d *Dynamics) Graph() *graph.Graph { return d.grid.Graph() }
+
+// IndexInformed implements core.Spreader: it brings the cell grid up to
+// date with the current positions and splits every cell's members into
+// informed and uninformed ones.
+func (d *Dynamics) IndexInformed(informed *bitset.Set) { d.grid.IndexInformed(informed) }
+
+// Spread implements core.Spreader: it appends every uninformed node
+// within radius of an informed one. The distance test is the one Graph
+// uses, so the result is exactly N_{G_t}(I) \ I.
+func (d *Dynamics) Spread(_ *bitset.Set, newly []int32) []int32 { return d.grid.Spread(newly) }
+
+// adjacent reports whether two positions are within radius under the
+// region's metric: the arithmetic of geom.Point.Dist2 and
+// geom.TorusDist2, in a body small enough to inline into the grid
+// scans.
+func (d *Dynamics) adjacent(p, q geom.Point) bool {
+	dx, dy := math.Abs(p.X-q.X), math.Abs(p.Y-q.Y)
+	if d.torus {
+		dx, dy = min(dx, d.side-dx), min(dy, d.side-dy)
 	}
-	n := d.mob.N()
-	d.builder.Reset(n)
-	if d.brute {
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if d.adjacent(u, v) {
-					d.builder.AddEdge(u, v)
-				}
-			}
-		}
-		d.g = d.builder.Build()
-		d.dirty = false
-		return d.g
-	}
-	if !d.cellsValid {
-		d.buildCells()
-	}
-	d.blocks.BuildLayout(d.cellsPer, d.mob.Torus(), d.morton, d.starts, d.order, d.parallel)
-	// Edge sweep: per contiguous node block into private buffers,
-	// concatenated in block order — the same order the serial
-	// u-ascending loop emits, so snapshots are byte-identical for every
-	// worker count (graph.BlockSweep; see geommeg.Model.Graph for the
-	// same pattern).
-	d.g = d.sweep.Run(d.builder, d.parallel, n, func(lo, hi int, srcs, dsts []int32) ([]int32, []int32) {
-		return d.sweepRange(lo, hi, srcs, dsts)
-	})
-	d.dirty = false
-	return d.g
+	return dx*dx+dy*dy <= d.r2
 }
 
-// buildCells (re)computes the cell list — nodeCell, starts, order —
-// for the current positions. Within a cell, nodes appear in ascending
-// id (the counting sort visits u ascending).
-func (d *Dynamics) buildCells() {
-	n := d.mob.N()
-	k := d.cellsPer
-	counts := d.counts[:k*k+1]
-	for i := range counts {
-		counts[i] = 0
+// locate is the grid's Locate scan; it also takes the round's copy of
+// the positions.
+func (d *Dynamics) locate(cells []int32) {
+	for u := range cells {
+		p := d.mob.Position(u)
+		d.pos[u] = p
+		cells[u] = d.grid.Cell(p.X, p.Y)
 	}
-	for u := 0; u < n; u++ {
-		c := d.cellIndexOf(d.mob.Position(u))
-		d.nodeCell[u] = c
-		counts[c+1]++
-	}
-	starts := d.starts[:k*k+1]
-	starts[0] = 0
-	for i := 1; i <= k*k; i++ {
-		starts[i] = starts[i-1] + counts[i]
-	}
-	cursor := counts[:k*k]
-	copy(cursor, starts[:k*k])
-	for u := 0; u < n; u++ {
-		c := d.nodeCell[u]
-		d.order[cursor[c]] = int32(u)
-		cursor[c]++
-	}
-	d.cellsValid = true
 }
 
-// sweepRange scans nodes [lo, hi): each node u walks the ascending
-// v > u suffix of its cell's merged 3×3 candidate list, so edges come
-// out in ascending-u order with fully sorted rows — the canonical
-// order the incremental graph.Mutable path merges against — with no
-// per-node filtering or sorting.
-func (d *Dynamics) sweepRange(lo, hi int, srcs, dsts []int32) ([]int32, []int32) {
+// sweep is the grid's Sweep scan: each node u walks the ascending v > u
+// suffix of its block's candidates, so edges come out in ascending-u
+// order with fully sorted rows.
+func (d *Dynamics) sweep(lo, hi int, srcs, dsts []int32) ([]int32, []int32) {
 	for u := lo; u < hi; u++ {
-		for _, v := range d.blocks.After(d.nodeCell[u], u) {
-			if d.adjacent(u, int(v)) {
+		p := d.pos[u]
+		for _, v := range d.grid.After(u) {
+			if d.adjacent(p, d.pos[v]) {
 				srcs = append(srcs, int32(u))
-				dsts = append(dsts, int32(v))
+				dsts = append(dsts, v)
 			}
 		}
 	}
 	return srcs, dsts
+}
+
+// spreadCell is the grid's Spread scan: every uninformed node of
+// ids[lo:hi] scans the informed positions of its block and stops at
+// the first one within radius.
+func (d *Dynamics) spreadCell(pos []geom.Point, ids []int32, lo, hi int32, informed []celldelta.Span, newly []int32) []int32 {
+	for i := lo; i < hi; i++ {
+		p := pos[i]
+	scan:
+		for _, sp := range informed {
+			for _, q := range pos[sp.Lo:sp.Hi] {
+				if d.adjacent(p, q) {
+					newly = append(newly, ids[i])
+					break scan
+				}
+			}
+		}
+	}
+	return newly
 }

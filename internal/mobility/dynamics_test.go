@@ -40,8 +40,8 @@ func TestDynamicsGraphAgainstBruteForce(t *testing.T) {
 }
 
 func TestDynamicsBruteForcePathSmallGrid(t *testing.T) {
-	// Radius close to side forces the brute-force path (fewer than 3
-	// cells per axis).
+	// Radius close to side leaves fewer than 3 cells per axis, so the
+	// grid is one cell and the sweep is the all-pairs scan.
 	const side = 5.0
 	mob := NewWalkersTorus(25, side, 1)
 	d := NewDynamics(mob, 2.4)

@@ -14,7 +14,10 @@
 // in expected time proportional to the number of successes.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256++ pseudo-random number generator.
 //
@@ -124,27 +127,15 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	// 128-bit multiply high: (x * n) >> 64 maps x uniformly to [0, n)
 	// with a small bias that the rejection loop removes.
 	x := r.Uint64()
-	hi, lo := mul64(x, n)
+	hi, lo := bits.Mul64(x, n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
 			x = r.Uint64()
-			hi, lo = mul64(x, n)
+			hi, lo = bits.Mul64(x, n)
 		}
 	}
 	return hi
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Bool returns true with probability 1/2.

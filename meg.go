@@ -103,11 +103,12 @@ type MultiOptions = core.MultiOptions
 type Parallelizable = core.Parallelizable
 
 // DeltaDynamics is implemented by dynamics that can report each step's
-// edge churn directly (all models in this repository); with
+// edge churn directly (the edge-MEG in this repository); with
 // FloodOptions.Snapshot = SnapshotDelta the engines then maintain the
 // snapshot incrementally — rebuilding only the adjacency rows the
 // churn touches — instead of re-materializing O(n + m) per round.
-// Results are byte-identical to the full path.
+// Results are byte-identical to the full path, and dynamics without
+// it (the geometric models) fall back to full rebuilds.
 type DeltaDynamics = core.DeltaDynamics
 
 // Delta is the edge difference between consecutive snapshots: births
