@@ -22,9 +22,6 @@
 //	-par N                       intra-trial sharded-engine workers
 //	                             (0/1 = serial, -1 = all CPUs); results
 //	                             are identical for every value
-//	-snapshot full|delta         per-round snapshot path (delta folds the
-//	                             models' edge churn into an incrementally
-//	                             maintained snapshot; identical results)
 //	-compare DIR                 with -suite: diff against the newest
 //	                             BENCH file in DIR (regression table;
 //	                             thresholds come from each scenario's
@@ -72,8 +69,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines (0 = all CPUs)")
 	kernelFlag := flag.String("kernel", "auto", "flooding kernel: auto|push|pull (identical results per flooding call; pinning one also disables source batching in E4/E8)")
 	parallelism := flag.Int("par", 0, "intra-trial worker count of the sharded engine (0/1 = serial, -1 = all CPUs); results are identical for every value")
-	protoEngine := flag.String("proto-engine", "", "gossip engine for protocol experiments: kernel|reference (default kernel; results are identical)")
-	snapshotFlag := flag.String("snapshot", "", "per-round snapshot path for experiments: full|delta (results are identical)")
 	compareDir := flag.String("compare", "", "with -suite: diff the run against the newest bench/history BENCH file in this directory and print a regression table")
 	historyDir := flag.String("history", "", "print a per-scenario trend table across every BENCH file in this directory and exit (no experiments run)")
 	csvDir := flag.String("csv", "", "directory to write per-table CSV files (created if missing)")
@@ -119,18 +114,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	switch *protoEngine {
-	case "", "kernel", "reference":
-	default:
-		fmt.Fprintf(os.Stderr, "megbench: unknown -proto-engine %q (want kernel|reference)\n", *protoEngine)
-		os.Exit(2)
-	}
-	snapshot, err := core.ParseSnapshotMode(*snapshotFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	params := experiments.Params{Scale: scale, Seed: *seed, Workers: *workers, Kernel: kernel, Parallelism: *parallelism, ProtocolEngine: *protoEngine, Snapshot: snapshot}
+	params := experiments.Params{Scale: scale, Seed: *seed, Workers: *workers, Kernel: kernel, Parallelism: *parallelism}
 
 	var selected []experiments.Experiment
 	if flag.NArg() == 0 {

@@ -44,10 +44,8 @@ func main() {
 	beta := flag.Float64("beta", 0, "forward probability (probabilistic protocol)")
 	loss := flag.Float64("loss", 0, "per-message loss probability (lossy protocol)")
 	kernel := flag.String("kernel", "auto", "flooding kernel: auto|push|pull")
-	protoEngine := flag.String("engine", "", "protocol engine for non-flooding protocols: kernel|reference (default kernel; results are identical)")
 	batch := flag.Bool("batch", false, "batch each trial's sources bit-parallel over one realization")
 	parallelism := flag.Int("par", 0, "intra-trial worker count of the sharded engine (0/1 = serial, -1 = all CPUs); results are identical for every value")
-	snapshot := flag.String("snapshot", "", "per-round snapshot path: full|delta (delta maintains snapshots incrementally from the model's edge churn; results are identical)")
 	seed := flag.Uint64("seed", 1, "RNG seed")
 	trials := flag.Int("trials", 1, "independent trials")
 	sources := flag.Int("sources", 1, "sources per trial (flooding time = max)")
@@ -73,14 +71,6 @@ func main() {
 			// flag may override the file without changing the run.
 			sp.Parallelism = *parallelism
 		}
-		if *protoEngine != "" {
-			// Also an execution hint: the engines are byte-identical.
-			sp.ProtocolEngine = *protoEngine
-		}
-		if *snapshot != "" {
-			// Also an execution hint: the paths are byte-identical.
-			sp.Snapshot = *snapshot
-		}
 	} else {
 		var err error
 		sp, err = spec.Spec{
@@ -89,14 +79,12 @@ func main() {
 				Mult: *mult, RFrac: *rfrac, Density: *density,
 				PhatMult: *phatmult, Q: *q, Empty: *emptyStart,
 			},
-			Protocol:       spec.Protocol{Name: *proto, Beta: *beta, Loss: *loss},
-			Engine:         spec.Engine{Kernel: *kernel, BatchSources: *batch},
-			Trials:         *trials,
-			Sources:        *sources,
-			Seed:           *seed,
-			Parallelism:    *parallelism,
-			ProtocolEngine: *protoEngine,
-			Snapshot:       *snapshot,
+			Protocol:    spec.Protocol{Name: *proto, Beta: *beta, Loss: *loss},
+			Engine:      spec.Engine{Kernel: *kernel, BatchSources: *batch},
+			Trials:      *trials,
+			Sources:     *sources,
+			Seed:        *seed,
+			Parallelism: *parallelism,
 		}.Canonical()
 		if err != nil {
 			fatal(err)

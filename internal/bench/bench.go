@@ -47,10 +47,11 @@ type Scenario struct {
 	// serial and sharded runs (and every CI run) see the same draws.
 	Spec spec.Spec `json:"spec"`
 	// DeltaVsFull marks a snapshot-path scenario: the serial variant
-	// pins the full per-round rebuild, the sharded variant the
-	// incremental delta path — so the speedup column records the delta
-	// engine's gain and the checksum gate doubles as the
-	// delta-vs-full equivalence check.
+	// pins the full per-round rebuild by hiding the model's StepDelta,
+	// the sharded variant runs the model as is, where the engines choose
+	// the incremental delta path on low churn — so the speedup column
+	// records the delta engine's gain and the checksum gate doubles as
+	// the delta-vs-full equivalence check.
 	DeltaVsFull bool `json:"deltaVsFull,omitempty"`
 }
 
@@ -104,17 +105,15 @@ func Suite() []Scenario {
 	// informs early; the rest of the fixed horizon chases the last <1%
 	// of stragglers — the regime the active-set pull kernel targets,
 	// isolated so its win is visible in the trajectory (see
-	// Variant.StragglerShare). The spec asks for the incremental delta
-	// path, but geometric flooding under the auto kernel builds no
-	// snapshot at all (core.Spreader), so both variants run the
-	// snapshot-free spread and the hint is inert.
+	// Variant.StragglerShare). Geometric flooding under the auto kernel
+	// builds no snapshot at all (core.Spreader), so both variants run
+	// the snapshot-free spread.
 	straggler := func(n, maxRounds int) spec.Spec {
 		return spec.Spec{
 			Model:     spec.Model{Name: "geometric", N: n, Mult: 0.5, RFrac: 0.8, Jump: 0.005},
 			Trials:    1,
 			MaxRounds: maxRounds,
 			Seed:      7,
-			Snapshot:  "delta",
 		}
 	}
 	return []Scenario{
@@ -128,7 +127,7 @@ func Suite() []Scenario {
 		{Name: "proto-pushpull-edge-16k", Note: "push-pull gossip on edge-MEG n=16384: reference vs sharded kernel", Spec: proto(edge(16384, 4), spec.Protocol{Name: "push-pull"})},
 		{Name: "proto-lossy-geom-16k", Note: "lossy flooding (f=0.2) on geometric-MEG n=16384: reference vs sharded kernel", Spec: proto(geom(16384), spec.Protocol{Name: "lossy", Loss: 0.2})},
 		{Name: "delta-edge-64k-lowchurn", Note: "edge-MEG n=65536, p̂=0.5·log n/n, q=0.002 — sub-threshold low churn over a fixed 400-round horizon: full rebuild vs incremental delta", Spec: lowchurn, DeltaVsFull: true},
-		{Name: "delta-geom-64k-smallrho", Note: "lazy geometric-MEG n=65536, r=0.2R, jump=0.01 — ~1% of nodes move per round; both variants flood snapshot-free through the cell grid (the snapshot hint is ignored), so the speedup reads ≈1× and the checksum gate compares two spread runs", Spec: smallrho, DeltaVsFull: true},
+		{Name: "delta-geom-64k-smallrho", Note: "lazy geometric-MEG n=65536, r=0.2R, jump=0.01 — ~1% of nodes move per round; both variants flood snapshot-free through the cell grid, so the speedup reads ≈1× and the checksum gate compares two spread runs", Spec: smallrho, DeltaVsFull: true},
 		{Name: "flood-geom-64k-straggler", Note: "sub-threshold lazy geometric-MEG n=65536, R=0.89·R_c, jump=0.005, fixed 400-round horizon — a third of the rounds chase <1% uninformed stragglers; both variants flood snapshot-free through the cell grid, so the speedup reads ≈1×", Spec: straggler(65536, 400)},
 		{Name: "flood-geom-512k-straggler", Note: "sub-threshold lazy geometric-MEG n=524288, R=0.89·R_c, jump=0.005, fixed 1000-round horizon — the straggler regime at headline scale; both variants flood snapshot-free through the cell grid, so the speedup reads ≈1×", Spec: straggler(524288, 1000)},
 	}
@@ -317,26 +316,27 @@ func RunScenarios(scenarios []Scenario, opts Options) (*File, error) {
 // gossip-family protocol scenarios the serial baseline runs the
 // internal/protocol reference implementation and the sharded run the
 // bitset kernel engine; for delta scenarios the serial baseline pins
-// the full per-round snapshot rebuild and the sharded run the
-// incremental delta path — byte-identical by contract in every case,
-// so the shared checksum gate applies unchanged.
+// the full per-round snapshot rebuild and the sharded run takes the
+// path the engines choose, the incremental delta path on low churn —
+// byte-identical by contract in every case, so the shared checksum
+// gate applies unchanged.
 func runVariant(c spec.Spec, variant string, parallelism int, deltaVsFull, telemetry bool) (Variant, error) {
 	c.Parallelism = parallelism
 	c.Workers = 1 // isolate intra-trial parallelism from trial fan-out
-	snapshot := ""
-	if deltaVsFull {
-		snapshot = "delta"
-		if variant == "serial" {
-			snapshot = "full"
-		}
-		c.Snapshot = snapshot
-	}
 	if c.Protocol.Name != "" && c.Protocol.Name != "flooding" {
 		return runProtocolVariant(c, variant, parallelism, telemetry)
 	}
 	factory, _, err := c.NewFactory()
 	if err != nil {
 		return Variant{}, err
+	}
+	snapshot := ""
+	if deltaVsFull {
+		snapshot = "delta"
+		if variant == "serial" {
+			snapshot = "full"
+			factory = fullSnapshots(factory)
+		}
 	}
 	opt, err := flood.OptionsFromSpec(c)
 	if err != nil {
@@ -362,6 +362,31 @@ func runVariant(c spec.Spec, variant string, parallelism int, deltaVsFull, telem
 	}
 	v.finishRates()
 	return v, nil
+}
+
+// fullSnapshots wraps factory so that a delta-capable model hides its
+// StepDelta and the engines rebuild its snapshot every round. The
+// degree hint and the worker count still reach the model, so only the
+// snapshot path differs from the unwrapped run. Other models pass
+// through unchanged.
+func fullSnapshots(factory flood.Factory) flood.Factory {
+	type deltaModel interface {
+		core.DeltaDynamics
+		core.DegreeHinter
+		core.Parallelizable
+	}
+	return func() core.Dynamics {
+		d := factory()
+		m, ok := d.(deltaModel)
+		if !ok {
+			return d
+		}
+		return struct {
+			core.Dynamics
+			core.DegreeHinter
+			core.Parallelizable
+		}{m, m, m}
+	}
 }
 
 // stragglerRounds counts the evaluated rounds of one trajectory that
@@ -438,7 +463,6 @@ func runProtocolVariant(c spec.Spec, variant string, parallelism int, telemetry 
 	if variant == "serial" {
 		engine = flood.EngineReference
 	}
-	c.ProtocolEngine = engine
 	factory, _, err := c.NewFactory()
 	if err != nil {
 		return Variant{}, err
@@ -447,6 +471,7 @@ func runProtocolVariant(c spec.Spec, variant string, parallelism int, telemetry 
 	if err != nil {
 		return Variant{}, err
 	}
+	opt.Engine = engine
 	var collect func() *metrics.PhaseTotals
 	if telemetry {
 		collect = attachTelemetry(func(h func(int) core.PhaseHook) { opt.Hook = h })

@@ -140,18 +140,20 @@ func TestRunProtocolScenario(t *testing.T) {
 func TestRunDeltaScenario(t *testing.T) {
 	// A delta scenario times the full-rebuild path serially against the
 	// incremental snapshot path — identical checksums, snapshot labels
-	// recorded on the variants.
+	// recorded on the variants. At 2q·d̄ ≈ 0.05 the engines choose the
+	// delta path on their own, so only the sharded variant records
+	// delta-apply time.
 	scenarios := []Scenario{{
 		Name: "tiny-delta",
 		Note: "t",
 		Spec: spec.Spec{
-			Model:  spec.Model{Name: "edge", N: 512, PhatMult: 2, Q: 0.05},
+			Model:  spec.Model{Name: "edge", N: 512, PhatMult: 2, Q: 0.002},
 			Trials: 2,
 			Seed:   7,
 		},
 		DeltaVsFull: true,
 	}}
-	f, err := RunScenarios(scenarios, Options{Parallelism: 4})
+	f, err := RunScenarios(scenarios, Options{Parallelism: 4, Telemetry: true})
 	if err != nil {
 		t.Fatalf("RunScenarios: %v", err)
 	}
@@ -161,6 +163,9 @@ func TestRunDeltaScenario(t *testing.T) {
 	}
 	if r.Variants[0].Snapshot != "full" || r.Variants[1].Snapshot != "delta" {
 		t.Fatalf("snapshot labels wrong: %q/%q", r.Variants[0].Snapshot, r.Variants[1].Snapshot)
+	}
+	if full, delta := r.Variants[0].Telemetry.DeltaApplyNS, r.Variants[1].Telemetry.DeltaApplyNS; full != 0 || delta <= 0 {
+		t.Fatalf("delta-apply time full/delta = %d/%d ns, want 0 and > 0", full, delta)
 	}
 	for _, v := range r.Variants {
 		if v.Rounds <= 0 || !v.Completed || v.WallNS <= 0 {

@@ -155,8 +155,9 @@ func floodOracle(lists [][][]int32, source, maxRounds int) FloodResult {
 // p_0 ≠ p̂ starts the chain away from stationarity, so the average
 // degree, and with it KernelAuto's push/pull threshold, drifts.
 // Every kernel at Parallelism 1, 2 and 8, with the active-set crossover
-// at never, always and the default, floods it with SnapshotDelta and
-// must reproduce the oracle's FloodResult over the full snapshots. Once
+// at never, always and the default, floods it on the delta path (the
+// sequence implements DeltaDynamics without a ChurnHinter, so the
+// engines always take it) and must reproduce the oracle's FloodResult over the full snapshots. Once
 // the pull kernel reaches the straggler list, the Mutable retires the
 // informed rows, so this is also the end-to-end check of Retire. The
 // seed corpus lives in testdata/fuzz/FuzzFloodDelta and runs under
@@ -218,7 +219,7 @@ func FuzzFloodDelta(f *testing.F) {
 			for _, kernel := range []Kernel{KernelAuto, KernelPush, KernelPull} {
 				for _, par := range []int{1, 2, 8} {
 					d := &deltaSequence{Sequence: NewSequence(gs...), deltas: deltas}
-					got := FloodOpt(d, src, maxRounds, FloodOptions{Kernel: kernel, Parallelism: par, Snapshot: SnapshotDelta})
+					got := FloodOpt(d, src, maxRounds, FloodOptions{Kernel: kernel, Parallelism: par})
 					sameResult(t, fmt.Sprintf("delta/%s/P%d/frac=%g", kernel, par, frac), got, want)
 				}
 			}

@@ -197,17 +197,6 @@ type FloodOptions struct {
 	// its snapshot builds. On the Spreader path the spread itself is
 	// serial and the workers go to the dynamics' own step.
 	Parallelism int
-	// Snapshot selects the per-round snapshot path: SnapshotFull (the
-	// default) rebuilds via Dynamics.Graph every round, SnapshotDelta
-	// maintains the snapshot incrementally from DeltaDynamics.StepDelta,
-	// rebuilding only the rows each round's churn touches — and, once
-	// the pull kernel reaches the straggler regime, only the rows of
-	// still-uninformed nodes (graph.Mutable.Retire). Of the factory
-	// models only the edge-MEG supports it; the others (the geometric
-	// family, under pinned kernels) fall back to the full path
-	// transparently, and results are byte-identical either way. The
-	// Spreader path builds no snapshot and ignores the mode.
-	Snapshot SnapshotMode
 	// Stop, if non-nil, is polled once per round; when it returns true
 	// the run aborts immediately with Completed == false and Rounds set
 	// to the cap (indistinguishable from hitting the cap, which is the
@@ -286,25 +275,20 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 	// The Spreader path replaces the snapshot and the kernel choice
 	// outright; its chain advance is a plain Step.
 	sp, _ := d.(Spreader)
-	mode := opt.Snapshot
 	if opt.Kernel != KernelAuto {
 		sp = nil
-	} else if sp != nil {
-		mode = SnapshotFull
 	}
-	snap := newSnapshotter(d, mode, workers, opt.Hook)
+	snap := newSnapshotter(d, workers, opt.Hook)
 	defer snap.release()
 	var eng *shardEngine
 	if sp == nil {
 		eng = newShardEngine(n, workers)
 		eng.hook = opt.Hook
 	}
-	// Once the engine pulls it can afford a dense-row export and test
-	// "informed neighbor?" by word-parallel row intersection. For the
-	// static baseline the snapshot never changes so the export is paid
-	// once; on the delta path the Mutable keeps the attached matrix
-	// coherent via O(churn) bit flips, so the export is likewise paid
-	// once per run instead of once per snapshot.
+	// Once the engine pulls on the static baseline it can afford a
+	// dense-row export and test "informed neighbor?" by word-parallel
+	// row intersection: the snapshot never changes, so the export is
+	// paid once per run.
 	st, isStatic := d.(*Static)
 	var rows *graph.DenseRows
 	rowsProbed := false
@@ -378,10 +362,6 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 					}
 					act.skipOn = true
 				} else if mut := snap.mutable(); mut != nil {
-					if denseRowsWorthwhile(g) {
-						rows = graph.NewDenseRows(g, workers)
-						mut.SetDenseRows(rows)
-					}
 					act.skipOn = true
 					act.stamps = mut.RowStamps()
 					act.epoch = mut.Epoch

@@ -81,10 +81,6 @@ type GossipOptions struct {
 	// seeds. A Parallelizable dynamics receives the same worker count
 	// for its snapshot builds.
 	Parallelism int
-	// Snapshot selects the per-round snapshot path (full rebuild vs
-	// incremental delta maintenance), with transparent fallback for
-	// dynamics without delta support; see FloodOptions.Snapshot.
-	Snapshot SnapshotMode
 	// Stop, if non-nil, is polled once per round; when it returns true
 	// the run aborts with Completed == false and Rounds set to the cap,
 	// matching FloodOptions.Stop semantics.
@@ -190,7 +186,7 @@ func Gossip(d Dynamics, proto GossipProtocol, source, maxRounds int, r *rng.RNG,
 	}
 
 	workers := engineWorkers(opt.Parallelism, d)
-	snap := newSnapshotter(d, opt.Snapshot, workers, opt.Hook)
+	snap := newSnapshotter(d, workers, opt.Hook)
 	defer snap.release()
 	eng := newGossipEngine(n, workers)
 	eng.hook = opt.Hook

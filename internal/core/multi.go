@@ -43,10 +43,6 @@ type MultiOptions struct {
 	// all CPUs. A Parallelizable dynamics receives the same worker
 	// count for its snapshot builds.
 	Parallelism int
-	// Snapshot selects the per-round snapshot path (full rebuild vs
-	// incremental delta maintenance), with transparent fallback for
-	// dynamics without delta support; see FloodOptions.Snapshot.
-	Snapshot SnapshotMode
 	// Stop, if non-nil, is polled once per round; when it returns true
 	// the batch aborts with every unfinished flood left incomplete
 	// (Rounds set to the cap), matching FloodOptions.Stop semantics.
@@ -109,7 +105,7 @@ func FloodMultiOpt(d Dynamics, sources []int, maxRounds int, opt MultiOptions) [
 	}
 
 	workers := engineWorkers(opt.Parallelism, d)
-	snap := newSnapshotter(d, opt.Snapshot, workers, opt.Hook)
+	snap := newSnapshotter(d, workers, opt.Hook)
 	defer snap.release()
 	remaining := len(groups)
 	h := opt.Hook

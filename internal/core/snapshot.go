@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 
 	"meg/internal/graph"
@@ -16,14 +14,16 @@ import (
 // the snapshot, and the engines fold it into a graph.Mutable instead of
 // paying a full O(n + m) rebuild per round. The edge-MEG implements it;
 // the geometric family floods from its cell grid instead (Spreader).
+// The engines take the delta path whenever it is expected to pay; see
+// ChurnHinter for the rule.
 //
 // Contract: the realization (the snapshot sequence) must be identical
 // whether the chain is advanced by Step or StepDelta, the returned
 // delta must satisfy graph.Delta's ordering/disjointness rules, and the
 // snapshot returned by Graph must carry sorted adjacency rows (the
 // canonical order graph.Mutable maintains), so the incremental view is
-// byte-identical to the full rebuild — which is what lets the snapshot
-// engine choice stay an execution hint outside spec content hashes.
+// byte-identical to the full rebuild — which is what lets the engines
+// pick the path on their own, with no effect on results.
 // The returned delta's slices are valid only until the next
 // Step/StepDelta/Reset call.
 type DeltaDynamics interface {
@@ -33,52 +33,33 @@ type DeltaDynamics interface {
 	StepDelta() graph.Delta
 }
 
-// SnapshotMode selects how the engines materialize per-round snapshots.
-type SnapshotMode int
-
-const (
-	// SnapshotFull calls Dynamics.Graph every round — the classic
-	// O(n + m) rebuild path, and the default.
-	SnapshotFull SnapshotMode = iota
-	// SnapshotDelta maintains the snapshot incrementally from
-	// DeltaDynamics.StepDelta via graph.Mutable, rebuilding only the
-	// adjacency rows each round's churn touches. Dynamics that do not
-	// implement DeltaDynamics fall back to the full path transparently.
-	// Results are byte-identical either way, so the mode is an
-	// execution hint (like Parallelism), never a semantic.
-	SnapshotDelta
-)
-
-// String returns the mode's flag spelling.
-func (m SnapshotMode) String() string {
-	switch m {
-	case SnapshotFull:
-		return "full"
-	case SnapshotDelta:
-		return "delta"
-	default:
-		return fmt.Sprintf("SnapshotMode(%d)", int(m))
-	}
+// ChurnHinter is optionally implemented by a DeltaDynamics whose
+// expected churn is known in closed form, like DegreeHinter for the
+// degree. ExpectedChurn returns the expected |births| + |deaths| of one
+// step; for the stationary edge-MEG that is q·n·d̄ (deaths q·m̄ balance
+// births), so 2·ExpectedChurn/n = 2q·d̄ is the expected number of delta
+// endpoints per adjacency row. The engines fold deltas into a
+// graph.Mutable only while that figure is below deltaCrossover, and
+// rebuild in full otherwise. A DeltaDynamics without the hint always
+// takes the delta path. The hint affects speed only, never results.
+type ChurnHinter interface {
+	ExpectedChurn() float64
 }
 
-// ParseSnapshotMode converts a flag value into a SnapshotMode.
-func ParseSnapshotMode(s string) (SnapshotMode, error) {
-	switch strings.ToLower(s) {
-	case "", "full":
-		return SnapshotFull, nil
-	case "delta", "incremental":
-		return SnapshotDelta, nil
-	default:
-		return SnapshotFull, fmt.Errorf("core: unknown snapshot mode %q (want full|delta)", s)
-	}
-}
+// deltaCrossover is the expected number of delta endpoints per row
+// (2·ExpectedChurn/n) below which the engines take the delta path.
+// Measured on edge-MEGs with n from 1k to 64k (full vs delta wall time,
+// one shard; the grid is in README "Incremental snapshots"): long
+// sub-threshold floods run 3–9× faster on delta up to 0.11, floods that
+// finish in a few rounds stay within ±20 % either way, and at q = 1/2
+// (2q·d̄ ≈ 22) delta is 54 % slower.
+const deltaCrossover = 0.125
 
 // snapshotter is the engines' one snapshot access path: graph() returns
 // the current G_t and step() advances the chain, routing through the
-// incremental Mutable when delta mode is requested and the dynamics
-// supports it, and through plain Graph/Step otherwise. The probe
-// happens once here, so every engine gets the transparent fallback for
-// free.
+// incremental Mutable when the delta path pays (see ChurnHinter) and
+// through plain Graph/Step otherwise. The decision happens once here,
+// so every engine makes it the same way.
 type snapshotter struct {
 	d       Dynamics
 	dd      DeltaDynamics // non-nil only when the delta path is active
@@ -87,10 +68,10 @@ type snapshotter struct {
 	hook    PhaseHook // nil unless the run is instrumented
 }
 
-func newSnapshotter(d Dynamics, mode SnapshotMode, workers int, hook PhaseHook) *snapshotter {
+func newSnapshotter(d Dynamics, workers int, hook PhaseHook) *snapshotter {
 	s := &snapshotter{d: d, workers: workers, hook: hook}
-	if mode == SnapshotDelta {
-		if dd, ok := d.(DeltaDynamics); ok {
+	if dd, ok := d.(DeltaDynamics); ok {
+		if h, ok := d.(ChurnHinter); !ok || 2*h.ExpectedChurn() < deltaCrossover*float64(d.N()) {
 			s.dd = dd
 		}
 	}
@@ -124,13 +105,13 @@ func (s *snapshotter) graphInner() *graph.Graph {
 
 // mutable returns the incrementally maintained snapshot when the delta
 // path is active and has materialized, else nil. Engines use it to
-// attach state the Mutable keeps coherent across deltas (dense rows).
+// read the Mutable's row stamps and to retire rows.
 func (s *snapshotter) mutable() *graph.Mutable { return s.mut }
 
 // mutablePool recycles the per-run graph.Mutable across engine runs —
 // the trial-level counterpart of graph.Builder's round-level recycling.
-// A pooled Mutable is fully reinitialized by Reset before reuse (and
-// detaches any dense rows), so pooling is invisible to results.
+// A pooled Mutable is fully reinitialized by Reset before reuse, so
+// pooling is invisible to results.
 var mutablePool sync.Pool
 
 func getPooledMutable(g *graph.Graph) *graph.Mutable {

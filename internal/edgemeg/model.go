@@ -241,6 +241,19 @@ func (m *Model) ExpectedDegree() float64 {
 	return float64(m.cfg.N-1) * m.cfg.PHat()
 }
 
+// ExpectedChurn implements core.ChurnHinter: the stationary expected
+// |births| + |deaths| of one step. At stationarity q·m̄ deaths balance
+// p·(C(n,2) − m̄) births, with m̄ = C(n,2)·p̂, so the sum is
+// 2q·p̂·C(n,2) = q·n·(n−1)·p̂. The frozen chain (p = q = 0) never
+// churns. The hint decides the engines' snapshot path (speed) only,
+// never results.
+func (m *Model) ExpectedChurn() float64 {
+	if m.cfg.P+m.cfg.Q == 0 {
+		return 0
+	}
+	return m.cfg.Q * float64(m.cfg.N) * m.ExpectedDegree()
+}
+
 // SetParallelism implements core.Parallelizable: Step resamples its
 // pair-space shards and Graph decodes the snapshot on up to workers
 // goroutines. Because every shard draws from its own stream regardless

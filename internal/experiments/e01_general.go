@@ -120,8 +120,8 @@ func E1GeneralBound(p Params) *Report {
 				Trials:      trials,
 				Seed:        rng.SeedFor(p.Seed, n*7+boolInt(c.matching)),
 				Workers:     p.Workers,
-				Parallelism: p.Parallelism, Snapshot: p.Snapshot,
-				Kernel: p.Kernel,
+				Parallelism: p.Parallelism,
+				Kernel:      p.Kernel,
 			})
 			ratio := camp.MaxRounds() / bound
 			if ratio > worstRatio {

@@ -53,10 +53,10 @@ func E4GeometricScaling(p Params) *Report {
 			SourcesPerTrial: sourcesPerTrial,
 			Seed:            rng.SeedFor(p.Seed, n*131+int(radius*7)),
 			Workers:         p.Workers,
-			Parallelism:     p.Parallelism, Snapshot: p.Snapshot,
-			MaxRounds:    core.DefaultRoundCap(n),
-			Kernel:       p.Kernel,
-			BatchSources: true,
+			Parallelism:     p.Parallelism,
+			MaxRounds:       core.DefaultRoundCap(n),
+			Kernel:          p.Kernel,
+			BatchSources:    true,
 		})
 		sqrtNoverR := math.Sqrt(float64(n)) / radius
 		return row{

@@ -50,8 +50,8 @@ func E5GeometricLower(p Params) *Report {
 			Trials:      trials,
 			Seed:        rng.SeedFor(p.Seed, 500+i),
 			Workers:     p.Workers,
-			Parallelism: p.Parallelism, Snapshot: p.Snapshot,
-			Kernel: p.Kernel,
+			Parallelism: p.Parallelism,
+			Kernel:      p.Kernel,
 		})
 		lower := bounds.GeometricLower(side, radius, moveR)
 		minRounds := camp.Summary.Min

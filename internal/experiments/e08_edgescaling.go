@@ -69,9 +69,9 @@ func E8EdgeScaling(p Params) *Report {
 				SourcesPerTrial: sourcesPerTrial,
 				Seed:            rng.SeedFor(p.Seed, n*17+len(lw.name)),
 				Workers:         p.Workers,
-				Parallelism:     p.Parallelism, Snapshot: p.Snapshot,
-				Kernel:       p.Kernel,
-				BatchSources: true,
+				Parallelism:     p.Parallelism,
+				Kernel:          p.Kernel,
+				BatchSources:    true,
 			})
 			lower := math.Log(float64(n)) / math.Log(float64(n)*pHat)
 			shape := bounds.EdgeUpperShape(n, pHat)
@@ -100,9 +100,9 @@ func E8EdgeScaling(p Params) *Report {
 			SourcesPerTrial: sourcesPerTrial,
 			Seed:            rng.SeedFor(p.Seed, 9000+int(mult)),
 			Workers:         p.Workers,
-			Parallelism:     p.Parallelism, Snapshot: p.Snapshot,
-			Kernel:       p.Kernel,
-			BatchSources: true,
+			Parallelism:     p.Parallelism,
+			Kernel:          p.Kernel,
+			BatchSources:    true,
 		})
 		lower := math.Log(float64(nBig)) / math.Log(float64(nBig)*pHat)
 		ratio := camp.MeanRounds() / lower

@@ -51,11 +51,11 @@ func E10Gap(p Params) *Report {
 		pHat := cfgStat.PHat()
 
 		campStat := flood.Run(func() core.Dynamics { return edgemeg.MustNew(cfgStat) }, flood.Options{
-			Trials: trials, Seed: rng.SeedFor(p.Seed, 2000+n), Workers: p.Workers, Parallelism: p.Parallelism, Snapshot: p.Snapshot,
+			Trials: trials, Seed: rng.SeedFor(p.Seed, 2000+n), Workers: p.Workers, Parallelism: p.Parallelism,
 			MaxRounds: core.DefaultRoundCap(n) * 4, Kernel: p.Kernel,
 		})
 		campEmpty := flood.Run(func() core.Dynamics { return edgemeg.MustNew(cfgEmpty) }, flood.Options{
-			Trials: trials, Seed: rng.SeedFor(p.Seed, 3000+n), Workers: p.Workers, Parallelism: p.Parallelism, Snapshot: p.Snapshot,
+			Trials: trials, Seed: rng.SeedFor(p.Seed, 3000+n), Workers: p.Workers, Parallelism: p.Parallelism,
 			MaxRounds: core.DefaultRoundCap(n) * 4, Kernel: p.Kernel,
 		})
 		gap := campEmpty.MeanRounds() / campStat.MeanRounds()

@@ -78,8 +78,8 @@ func E11MobilityModels(p Params) *Report {
 			Trials:      trials,
 			Seed:        rng.SeedFor(p.Seed, 4000+i),
 			Workers:     p.Workers,
-			Parallelism: p.Parallelism, Snapshot: p.Snapshot,
-			Kernel: p.Kernel,
+			Parallelism: p.Parallelism,
+			Kernel:      p.Kernel,
 		})
 		ratio := camp.MeanRounds() / sqrtNoverR
 		ratios = append(ratios, ratio)

@@ -42,8 +42,8 @@ func E12Density(p Params) *Report {
 			Trials:      trials,
 			Seed:        rng.SeedFor(p.Seed, 4400+i),
 			Workers:     p.Workers,
-			Parallelism: p.Parallelism, Snapshot: p.Snapshot,
-			Kernel: p.Kernel,
+			Parallelism: p.Parallelism,
+			Kernel:      p.Kernel,
 		})
 		ratio := camp.MeanRounds() / (side / radius)
 		ratios = append(ratios, ratio)

@@ -50,9 +50,9 @@ func E13SubThreshold(p Params) *Report {
 			Trials:      trials,
 			Seed:        rng.SeedFor(p.Seed, 4700+i),
 			Workers:     p.Workers,
-			Parallelism: p.Parallelism, Snapshot: p.Snapshot,
-			MaxRounds: cap,
-			Kernel:    p.Kernel,
+			Parallelism: p.Parallelism,
+			MaxRounds:   cap,
+			Kernel:      p.Kernel,
 		})
 		completed := trials - camp.Incomplete
 		if f == 0 {

@@ -23,9 +23,8 @@ import (
 // gossip variants must trade a logarithmic latency factor for order-of-
 // magnitude message savings.
 //
-// The gossip rows run on the engine selected by Params.ProtocolEngine —
-// the bit-parallel sharded kernel by default, the per-node reference on
-// request; both produce identical numbers.
+// The gossip rows run on the bit-parallel sharded kernel engine, which
+// produces the same numbers as the per-node reference.
 func E16Protocols(p Params) *Report {
 	n := pick(p.Scale, 1024, 4096, 16384)
 	trials := pick(p.Scale, 8, 12, 20)
@@ -53,10 +52,7 @@ func E16Protocols(p Params) *Report {
 		Notes: []string{
 			"Latency in rounds, messages in point-to-point transmissions (mean over trials).",
 			"Flooding is the latency floor of the family; gossip trades rounds for messages.",
-			// The engine name must NOT appear here: protocolEngine is
-			// excluded from the spec content hash, so the report bytes
-			// must be identical whichever engine ran.
-			"Gossip rows run on the configured protocol engine (kernel or reference — result-identical).",
+			"Gossip rows run on the bit-parallel kernel engine (result-identical to the per-node reference).",
 		},
 	}
 
@@ -137,13 +133,12 @@ func E16Protocols(p Params) *Report {
 	return rep
 }
 
-// runProto runs one protocol trial through the configured engine.
-// Flooding always uses the reference implementation (the gossip engine
-// has no flooding kernel — the flooding engine does that job, but
-// without message accounting); the gossip family uses core.Gossip
-// unless Params.ProtocolEngine asks for the reference oracle.
+// runProto runs one protocol trial. Flooding uses the reference
+// implementation (the gossip engine has no flooding kernel — the
+// flooding engine does that job, but without message accounting); the
+// gossip family uses core.Gossip.
 func runProto(p Params, d core.Dynamics, name string, beta, loss float64, src, maxRounds int, r *rng.RNG) protocol.Result {
-	if name == "flooding" || p.ProtocolEngine == "reference" {
+	if name == "flooding" {
 		proto, err := protocol.ByName(name, beta, loss)
 		if err != nil {
 			panic(err)
@@ -155,7 +150,7 @@ func runProto(p Params, d core.Dynamics, name string, beta, loss float64, src, m
 		panic(err)
 	}
 	res := core.Gossip(d, gp, src, maxRounds, r, core.GossipOptions{
-		Beta: beta, Loss: loss, Parallelism: p.Parallelism, Snapshot: p.Snapshot,
+		Beta: beta, Loss: loss, Parallelism: p.Parallelism,
 	})
 	return protocol.Result{
 		Rounds:     res.Rounds,

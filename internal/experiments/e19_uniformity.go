@@ -97,7 +97,7 @@ func E19Uniformity(p Params) *Report {
 		dev := stats.Mean(devs)
 
 		camp := flood.Run(e.factory, flood.Options{
-			Trials: trials, Seed: rng.SeedFor(p.Seed, 1950+i), Workers: p.Workers, Parallelism: p.Parallelism, Snapshot: p.Snapshot,
+			Trials: trials, Seed: rng.SeedFor(p.Seed, 1950+i), Workers: p.Workers, Parallelism: p.Parallelism,
 			Kernel: p.Kernel,
 		})
 		ratio := camp.MeanRounds() / x

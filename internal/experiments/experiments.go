@@ -75,23 +75,12 @@ type Params struct {
 	// flooding engine and model snapshot builds (0/1 = serial). Like
 	// Kernel it is result-equivalent: it only changes speed.
 	Parallelism int
-	// ProtocolEngine selects the implementation protocol experiments
-	// (E16) run the gossip family on: "kernel" (the bit-parallel
-	// sharded engine, also the default for "") or "reference" (the
-	// per-node oracle in internal/protocol). The engines are
-	// byte-identical, so like Kernel this only changes speed.
-	ProtocolEngine string
-	// Snapshot selects the engines' per-round snapshot path (full
-	// rebuild vs incremental delta maintenance) for every flooding and
-	// gossip call an experiment makes. Like Kernel it is
-	// result-equivalent: it only changes speed.
-	Snapshot core.SnapshotMode
 }
 
 // FloodOptions returns the flooding engine options experiments thread
 // into their core.FloodOpt and flood.Run calls.
 func (p Params) FloodOptions() core.FloodOptions {
-	return core.FloodOptions{Kernel: p.Kernel, Parallelism: p.Parallelism, Snapshot: p.Snapshot}
+	return core.FloodOptions{Kernel: p.Kernel, Parallelism: p.Parallelism}
 }
 
 // ParamsFromSpec is the spec-driven constructor: it maps an experiment
@@ -113,11 +102,7 @@ func ParamsFromSpec(s spec.Spec) (Params, error) {
 	if err != nil {
 		return Params{}, err
 	}
-	snapshot, err := core.ParseSnapshotMode(c.Snapshot)
-	if err != nil {
-		return Params{}, err
-	}
-	return Params{Scale: scale, Seed: seed, Workers: c.Workers, Parallelism: c.Parallelism, ProtocolEngine: c.ProtocolEngine, Snapshot: snapshot}, nil
+	return Params{Scale: scale, Seed: seed, Workers: c.Workers, Parallelism: c.Parallelism}, nil
 }
 
 // Check is one machine-verifiable shape assertion derived from a

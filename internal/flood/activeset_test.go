@@ -10,12 +10,13 @@ import (
 // runWithActiveSetFrac executes a flooding campaign with the active-set
 // crossover pinned to frac (0 = pure complement scan, 1 = list from the
 // first pull round); frac < 0 leaves the default crossover in place.
-func runWithActiveSetFrac(t *testing.T, s spec.Spec, frac float64, parallelism int) Campaign {
+// path pins the snapshot path as in withSnapshotPath.
+func runWithActiveSetFrac(t *testing.T, s spec.Spec, path string, frac float64, parallelism int) Campaign {
 	t.Helper()
 	if frac >= 0 {
 		defer core.SetActiveSetFracForTest(frac)()
 	}
-	return runWithParallelism(t, s, parallelism, false)
+	return runWithSnapshot(t, s, path, parallelism, false)
 }
 
 // TestActiveSetEquivalenceAllModels is the equivalence gate of the
@@ -29,10 +30,10 @@ func runWithActiveSetFrac(t *testing.T, s spec.Spec, frac float64, parallelism i
 func TestActiveSetEquivalenceAllModels(t *testing.T) {
 	for _, s := range allModelSpecs(t) {
 		name := s.Model.Name
-		baseline := runWithActiveSetFrac(t, s, 0, 1)
+		baseline := runWithActiveSetFrac(t, s, "", 0, 1)
 		for _, par := range []int{1, 8} {
 			for _, frac := range []float64{1, -1} {
-				got := runWithActiveSetFrac(t, s, frac, par)
+				got := runWithActiveSetFrac(t, s, "", frac, par)
 				campaignsEqual(t, name+"/active-set", baseline, got)
 			}
 		}
@@ -47,14 +48,14 @@ func TestActiveSetEquivalenceAllModels(t *testing.T) {
 // previous round's frontier to probe only candidate nodes, so every
 // model × Parallelism must still reproduce the complement-scan
 // campaign byte for byte with the list forced on from the first pull
-// round — the regime where skipped probes are most common.
+// round — the regime where skipped probes are most common. The edge
+// spec churns at q = 0.5, so the delta path is forced.
 func TestActiveSetEquivalenceDelta(t *testing.T) {
 	for _, s := range allModelSpecs(t) {
 		name := s.Model.Name
-		s.Snapshot = "delta"
-		baseline := runWithActiveSetFrac(t, s, 0, 1)
+		baseline := runWithActiveSetFrac(t, s, "delta", 0, 1)
 		for _, par := range []int{1, 8} {
-			got := runWithActiveSetFrac(t, s, 1, par)
+			got := runWithActiveSetFrac(t, s, "delta", 1, par)
 			campaignsEqual(t, name+"/active-set-delta", baseline, got)
 		}
 	}
@@ -97,13 +98,12 @@ func TestActiveSetEquivalenceLossy(t *testing.T) {
 	}
 }
 
-// TestActiveSetDenseRowsDelta pins the SetDenseRows consumer: on a
-// graph dense enough for the bit-matrix pull kernel (n ≤ 8192,
-// avg degree ≥ 64), the delta path — where the rows are built once and
-// then kept coherent by Mutable.ApplyDelta's O(churn) bit flips — must
-// reproduce the full-rebuild campaign byte for byte, across several
-// trials so the pooled Mutable is also reused with rows attached and
-// detached between runs.
+// TestActiveSetDenseRowsDelta covers the delta path on a graph in the
+// static kernel's dense-row regime (n ≤ 8192, avg degree ≥ 64): the
+// delta path pulls by CSR rows there and must reproduce the
+// full-rebuild campaign byte for byte, across several trials so the
+// pooled Mutable is also reused between runs. At 2q·d̄ ≈ 11 the
+// engines would rebuild in full, so the delta path is forced.
 func TestActiveSetDenseRowsDelta(t *testing.T) {
 	s := spec.Spec{
 		Model:     spec.Model{Name: "edge", N: 1024, PhatMult: 16, Q: 0.05},

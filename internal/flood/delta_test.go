@@ -3,24 +3,38 @@ package flood
 import (
 	"testing"
 
+	"meg/internal/core"
 	"meg/internal/spec"
 )
 
-// runWithSnapshot executes a flooding campaign with the given snapshot
-// path and intra-trial parallelism.
-func runWithSnapshot(t *testing.T, s spec.Spec, snapshot string, parallelism int, batch bool) Campaign {
-	t.Helper()
-	s.Snapshot = snapshot
-	return runWithParallelism(t, s, parallelism, batch)
+// withSnapshotPath wraps factory so that a delta-capable model takes
+// the given snapshot path whatever its churn: "full" hides StepDelta
+// (struct{ core.Dynamics }), "delta" hides the model's ChurnHinter
+// (struct{ core.DeltaDynamics }), and "" leaves the engines' choice in
+// place. Models without StepDelta pass through unchanged.
+func withSnapshotPath(factory Factory, path string) Factory {
+	return func() core.Dynamics {
+		d := factory()
+		dd, ok := d.(core.DeltaDynamics)
+		switch {
+		case !ok || path == "":
+			return d
+		case path == "full":
+			return struct{ core.Dynamics }{d}
+		default:
+			return struct{ core.DeltaDynamics }{dd}
+		}
+	}
 }
 
 // TestSnapshotDeltaIdenticalAcrossAllModels is the equivalence gate of
-// the incremental snapshot path: on every delta-capable model (all
-// seven), a flooding campaign run with snapshot=delta must be
-// byte-identical — trajectories and per-node arrival arrays included —
-// to the full-rebuild campaign, at Parallelism 1 and 8 alike. This is
-// the contract that keeps the snapshot knob an execution hint outside
-// the spec content hash.
+// the incremental snapshot path: on every model, a flooding campaign
+// with the delta path forced must be byte-identical — trajectories and
+// per-node arrival arrays included — to the full-rebuild campaign, at
+// Parallelism 1 and 8 alike. Only the edge-MEG is delta-capable (at
+// q = 0.5, where the engines would rebuild in full); the others pass
+// through unchanged. This is the contract that lets the engines choose
+// the path on their own.
 func TestSnapshotDeltaIdenticalAcrossAllModels(t *testing.T) {
 	for _, s := range allModelSpecs(t) {
 		name := s.Model.Name
@@ -37,7 +51,9 @@ func TestSnapshotDeltaIdenticalAcrossAllModels(t *testing.T) {
 
 // TestSnapshotDeltaIdenticalLowChurn covers the regimes the delta path
 // is actually for — lazy lattice walks and low-churn edge chains —
-// where most rounds rebuild only a sliver of the snapshot.
+// where most rounds rebuild only a sliver of the snapshot. The edge
+// chain (2q·d̄ ≈ 0.5) is above the engines' crossover, so the delta
+// path is forced here too.
 func TestSnapshotDeltaIdenticalLowChurn(t *testing.T) {
 	cases := []spec.Model{
 		{Name: "geometric", N: 600, RFrac: 0.5, Jump: 0.05},
@@ -68,25 +84,24 @@ func TestSnapshotDeltaIdenticalBatchedMulti(t *testing.T) {
 
 // TestSnapshotDeltaIdenticalProtocols closes the matrix over the
 // gossip family: on every (model, protocol) pair the kernel engine
-// run with snapshot=delta must reproduce the full-rebuild campaign at
+// run with the delta path forced must reproduce the full-rebuild campaign at
 // Parallelism 1 and 8. Together with the reference-vs-kernel
 // equivalence gate this pins delta × {all four protocols} × {P1, P8}
 // to the oracle.
 func TestSnapshotDeltaIdenticalProtocols(t *testing.T) {
 	for _, s := range protocolSpecs(t) {
 		label := s.Model.Name + "/" + s.Protocol.Name
-		full := runProtocolWith(t, s, EngineKernel, 1)
+		full := runProtocolOn(t, s, EngineKernel, 1, "full")
 		for _, par := range []int{1, 8} {
-			sd := s
-			sd.Snapshot = "delta"
-			delta := runProtocolWith(t, sd, EngineKernel, par)
+			delta := runProtocolOn(t, s, EngineKernel, par, "delta")
 			protocolCampaignsEqual(t, label+"/delta-vs-full", full, delta)
 		}
 	}
 }
 
-// TestSnapshotHintDoesNotChangeHash pins the execution-hint contract:
-// snapshot, like parallelism, must not perturb the spec content hash.
+// TestSnapshotHintDoesNotChangeHash pins the retired hint: a spec that
+// still carries snapshot, like one carrying parallelism, must hash as
+// the spec without it.
 func TestSnapshotHintDoesNotChangeHash(t *testing.T) {
 	a := spec.Spec{Model: spec.Model{Name: "geometric", N: 512, RFrac: 0.5}}
 	b := a

@@ -32,6 +32,13 @@ func allModelSpecs(t *testing.T) []spec.Spec {
 // intra-trial parallelism.
 func runWithParallelism(t *testing.T, s spec.Spec, parallelism int, batch bool) Campaign {
 	t.Helper()
+	return runWithSnapshot(t, s, "", parallelism, batch)
+}
+
+// runWithSnapshot is runWithParallelism with the snapshot path pinned
+// as in withSnapshotPath ("" leaves the engines' choice in place).
+func runWithSnapshot(t *testing.T, s spec.Spec, path string, parallelism int, batch bool) Campaign {
+	t.Helper()
 	s.Parallelism = parallelism
 	s.Engine.BatchSources = batch
 	factory, _, err := s.NewFactory()
@@ -42,7 +49,7 @@ func runWithParallelism(t *testing.T, s spec.Spec, parallelism int, batch bool) 
 	if err != nil {
 		t.Fatalf("OptionsFromSpec: %v", err)
 	}
-	return Run(factory, opt)
+	return Run(withSnapshotPath(factory, path), opt)
 }
 
 // campaignsEqual compares two campaigns trial by trial, arrival arrays

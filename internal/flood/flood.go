@@ -32,10 +32,6 @@ func OptionsFromSpec(s spec.Spec) (Options, error) {
 	if err != nil {
 		return Options{}, err
 	}
-	snapshot, err := core.ParseSnapshotMode(c.Snapshot)
-	if err != nil {
-		return Options{}, err
-	}
 	return Options{
 		Trials:          c.Trials,
 		SourcesPerTrial: c.Sources,
@@ -46,7 +42,6 @@ func OptionsFromSpec(s spec.Spec) (Options, error) {
 		Kernel:          kernel,
 		PullThreshold:   c.Engine.PullThreshold,
 		BatchSources:    c.Engine.BatchSources,
-		Snapshot:        snapshot,
 	}, nil
 }
 
@@ -86,11 +81,6 @@ type Options struct {
 	// auto kernel switches push→pull; ≤ 0 derives it from the model's
 	// expected degree (see core.FloodOptions).
 	PullThreshold float64
-	// Snapshot selects the engines' per-round snapshot path: full
-	// rebuild (the default) or incremental delta maintenance for
-	// delta-capable models (core.FloodOptions.Snapshot). Results are
-	// byte-identical either way; delta wins in low-churn regimes.
-	Snapshot core.SnapshotMode
 	// BatchSources runs each trial's sources over ONE shared
 	// realization via core.FloodMulti (bit-parallel, up to 64 sources
 	// per word) instead of resetting the dynamics per source. Roughly
@@ -127,7 +117,7 @@ func (o Options) batched() bool {
 }
 
 func (o Options) floodOptions() core.FloodOptions {
-	return core.FloodOptions{Kernel: o.Kernel, PullThreshold: o.PullThreshold, Parallelism: o.Parallelism, Snapshot: o.Snapshot}
+	return core.FloodOptions{Kernel: o.Kernel, PullThreshold: o.PullThreshold, Parallelism: o.Parallelism}
 }
 
 func (o Options) withDefaults(n int) Options {
@@ -216,7 +206,7 @@ func RunContext(ctx context.Context, factory Factory, opt Options) (Campaign, er
 		if opt.batched() {
 			d.Reset(r.Split())
 			res = core.WorstResult(core.FloodMultiOpt(d, sources, opt.MaxRounds,
-				core.MultiOptions{Parallelism: opt.Parallelism, Snapshot: opt.Snapshot, Stop: stop, Progress: progress, Hook: hook}))
+				core.MultiOptions{Parallelism: opt.Parallelism, Stop: stop, Progress: progress, Hook: hook}))
 		} else {
 			fo := opt.floodOptions()
 			fo.Stop = stop

@@ -14,8 +14,9 @@ import (
 
 // Protocol engine spellings: which implementation runs a non-flooding
 // protocol campaign. Both produce byte-identical results on the same
-// seeds, so the choice is an execution hint (like Parallelism) —
-// excluded from spec content hashes.
+// seeds. Specs always run the kernel; the reference is selected only
+// through ProtocolOptions.Engine, by the equivalence tests and the
+// bench's reference-vs-kernel scenarios.
 const (
 	// EngineKernel is the bit-parallel sharded gossip engine
 	// (core.Gossip) — the default.
@@ -37,7 +38,9 @@ type ProtocolOptions struct {
 	// Loss is lossy flooding's per-message loss probability.
 	Loss float64
 	// Engine selects the implementation: EngineKernel (default, also
-	// the empty string) or EngineReference. Byte-identical results.
+	// the empty string) or EngineReference. Byte-identical results; the
+	// reference exists as the oracle for tests and the bench, and
+	// ProtocolOptionsFromSpec always leaves the kernel selected.
 	Engine string
 	// Trials is the number of independent repetitions (default 1).
 	Trials int
@@ -55,12 +58,6 @@ type ProtocolOptions struct {
 	// for every value; the reference engine ignores it for the protocol
 	// rounds but still hands it to the models.
 	Parallelism int
-	// Snapshot selects the kernel engine's per-round snapshot path
-	// (core.GossipOptions.Snapshot); byte-identical either way. The
-	// reference engine always runs the full path — it drives the model
-	// directly — which is exactly what the kernel-delta-vs-reference
-	// equivalence tests lean on.
-	Snapshot core.SnapshotMode
 	// OnRound, if non-nil, receives per-round progress (kernel engine
 	// only; the reference implementations have no round hooks). Called
 	// concurrently from trial workers.
@@ -91,22 +88,16 @@ func ProtocolOptionsFromSpec(s spec.Spec) (ProtocolOptions, error) {
 	if err != nil {
 		return ProtocolOptions{}, err
 	}
-	snapshot, err := core.ParseSnapshotMode(c.Snapshot)
-	if err != nil {
-		return ProtocolOptions{}, err
-	}
 	return ProtocolOptions{
 		Protocol:        c.Protocol.Name,
 		Beta:            c.Protocol.Beta,
 		Loss:            c.Protocol.Loss,
-		Engine:          c.ProtocolEngine,
 		Trials:          c.Trials,
 		SourcesPerTrial: c.Sources,
 		MaxRounds:       c.MaxRounds,
 		Seed:            seed,
 		Workers:         c.Workers,
 		Parallelism:     c.Parallelism,
-		Snapshot:        snapshot,
 	}, nil
 }
 
@@ -209,7 +200,6 @@ func RunProtocolContext(ctx context.Context, factory Factory, opt ProtocolOption
 				res = core.Gossip(d, gp, src, opt.MaxRounds, r, core.GossipOptions{
 					Beta: opt.Beta, Loss: opt.Loss,
 					Parallelism: opt.Parallelism,
-					Snapshot:    opt.Snapshot,
 					Stop:        stop, Progress: progress,
 					Hook: hook,
 				})

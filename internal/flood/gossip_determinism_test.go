@@ -40,7 +40,13 @@ func protocolSpecs(t *testing.T) []spec.Spec {
 // engine and intra-trial parallelism.
 func runProtocolWith(t *testing.T, s spec.Spec, engine string, parallelism int) ProtocolCampaign {
 	t.Helper()
-	s.ProtocolEngine = engine
+	return runProtocolOn(t, s, engine, parallelism, "")
+}
+
+// runProtocolOn is runProtocolWith with the snapshot path pinned as in
+// withSnapshotPath ("" leaves the engines' choice in place).
+func runProtocolOn(t *testing.T, s spec.Spec, engine string, parallelism int, path string) ProtocolCampaign {
+	t.Helper()
 	s.Parallelism = parallelism
 	factory, _, err := s.NewFactory()
 	if err != nil {
@@ -50,7 +56,8 @@ func runProtocolWith(t *testing.T, s spec.Spec, engine string, parallelism int) 
 	if err != nil {
 		t.Fatalf("ProtocolOptionsFromSpec: %v", err)
 	}
-	return RunProtocol(factory, opt)
+	opt.Engine = engine
+	return RunProtocol(withSnapshotPath(factory, path), opt)
 }
 
 // protocolCampaignsEqual compares two protocol campaigns trial by

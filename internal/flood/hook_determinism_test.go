@@ -36,7 +36,7 @@ func (rs *recorderSet) totals() metrics.PhaseTotals {
 
 // runHooked executes a flooding campaign with per-trial phase
 // recorders attached and returns the campaign plus the merged totals.
-func runHooked(t *testing.T, s spec.Spec, parallelism int, batch bool) (Campaign, metrics.PhaseTotals) {
+func runHooked(t *testing.T, s spec.Spec, path string, parallelism int, batch bool) (Campaign, metrics.PhaseTotals) {
 	t.Helper()
 	s.Parallelism = parallelism
 	s.Engine.BatchSources = batch
@@ -50,7 +50,7 @@ func runHooked(t *testing.T, s spec.Spec, parallelism int, batch bool) (Campaign
 	}
 	var rs recorderSet
 	opt.Hook = rs.factory
-	camp := Run(factory, opt)
+	camp := Run(withSnapshotPath(factory, path), opt)
 	return camp, rs.totals()
 }
 
@@ -71,7 +71,7 @@ func TestHooksPreserveDeterminism(t *testing.T) {
 		{"P8/batched", 8, true},
 	} {
 		bare := runWithParallelism(t, s, cse.par, cse.batch)
-		hooked, totals := runHooked(t, s, cse.par, cse.batch)
+		hooked, totals := runHooked(t, s, "", cse.par, cse.batch)
 		campaignsEqual(t, "hooked/"+cse.label, bare, hooked)
 		if totals.Rounds == 0 {
 			t.Errorf("%s: hooks attached but recorded no rounds (vacuous comparison)", cse.label)
@@ -81,18 +81,19 @@ func TestHooksPreserveDeterminism(t *testing.T) {
 		}
 	}
 	// Cross-parallelism with hooks on both sides: still identical.
-	h1, _ := runHooked(t, s, 1, false)
-	h8, _ := runHooked(t, s, 8, false)
+	h1, _ := runHooked(t, s, "", 1, false)
+	h8, _ := runHooked(t, s, "", 8, false)
 	campaignsEqual(t, "hooked/P1-vs-P8", h1, h8)
 }
 
 // TestHooksPreserveDeterminismDeltaSnapshot covers the incremental
-// snapshot path, whose step/delta-apply spans are distinct phases.
+// snapshot path, whose step/delta-apply spans are distinct phases. The
+// edge spec churns at q = 0.5, where the engines would rebuild in full,
+// so the delta path is forced.
 func TestHooksPreserveDeterminismDeltaSnapshot(t *testing.T) {
 	s := allModelSpecs(t)[2] // edge: churn-native, exercises StepDelta
-	s.Snapshot = "delta"
-	bare := runWithParallelism(t, s, 8, false)
-	hooked, totals := runHooked(t, s, 8, false)
+	bare := runWithSnapshot(t, s, "delta", 8, false)
+	hooked, totals := runHooked(t, s, "delta", 8, false)
 	campaignsEqual(t, "hooked/delta", bare, hooked)
 	if totals.DeltaApplyNS <= 0 {
 		t.Errorf("delta path recorded no delta-apply time: %+v", totals)

@@ -50,16 +50,6 @@ func (d *DenseRows) Row(u int) []uint64 {
 	return d.words[u*d.stride : (u+1)*d.stride]
 }
 
-// setBit and clearBit flip one adjacency bit; Mutable uses them to keep
-// an attached matrix coherent under deltas.
-func (d *DenseRows) setBit(u, v int) {
-	d.words[u*d.stride+(v>>6)] |= 1 << (uint(v) & 63)
-}
-
-func (d *DenseRows) clearBit(u, v int) {
-	d.words[u*d.stride+(v>>6)] &^= 1 << (uint(v) & 63)
-}
-
 // Intersects reports whether u has at least one neighbor in s: a
 // word-parallel any-AND of u's row against the set, with early exit on
 // the first hit. s must be over the universe [0, n).

@@ -24,7 +24,7 @@ import (
 // place (same pointer), mirroring the "snapshot valid until the next
 // Step" aliasing contract of the dynamics themselves. After Retire the
 // view covers only the rows of nodes outside the retired set; the
-// edge count and an attached DenseRows stay exact.
+// edge count stays exact.
 type Mutable struct {
 	view Graph
 
@@ -39,9 +39,6 @@ type Mutable struct {
 
 	// Per-worker merge scratch for the in-place rebuild.
 	scratch [][]int32
-
-	// rows, when attached, is kept coherent with the snapshot.
-	rows *DenseRows
 
 	// spareOffs/spareAdj/spareLens are the layout the last relayout
 	// replaced, recycled by the next one: rows of a view are invalid
@@ -76,8 +73,7 @@ func NewMutable(g *Graph) *Mutable {
 // arrays wherever capacities allow — the trial-level counterpart of
 // graph.Builder's round-level recycling, which is what lets the
 // engines pool one Mutable across runs instead of paying a fresh
-// O(n + m) allocation each time. Any attached DenseRows is detached
-// (runs must never share a matrix), the spare layout is dropped (a
+// O(n + m) allocation each time. The spare layout is dropped (a
 // pooled Mutable never holds one sized for an earlier run), the retired
 // set is dropped (every row is maintained again), and the epoch stamps
 // keep advancing so stale per-row scatter state can never alias the new
@@ -95,7 +91,6 @@ func (m *Mutable) Reset(g *Graph) {
 	m.touched = m.touched[:n]
 	m.newLen = m.newLen[:n]
 	m.dirty = m.dirty[:0]
-	m.rows = nil
 	m.spareOffs, m.spareAdj, m.spareLens = nil, nil, nil
 	m.done = nil
 
@@ -153,17 +148,6 @@ func (m *Mutable) Retire(done *bitset.Set) {
 	m.keys.reset(m.view.mCount)
 	m.view.ForEachEdge(func(u, v int) { m.keys.insert(PackEdge(u, v)) })
 	m.done = done
-}
-
-// SetDenseRows attaches a dense adjacency matrix that ApplyDelta keeps
-// coherent with the snapshot (births set the mirrored bit pair, deaths
-// clear it). The matrix must describe the current snapshot — typically
-// NewDenseRows(m.Graph(), workers) — and must span the same node universe.
-func (m *Mutable) SetDenseRows(r *DenseRows) {
-	if r != nil && r.n != m.view.n {
-		panic("graph: SetDenseRows universe mismatch")
-	}
-	m.rows = r
 }
 
 // RowStamps exposes the per-row epoch stamps: row u was touched by the
@@ -236,9 +220,6 @@ func (m *Mutable) ApplyDelta(d Delta, workers int) {
 		m.rebuildInPlace(workers)
 	}
 	m.view.mCount += len(d.Births) - len(d.Deaths)
-	if m.rows != nil {
-		m.applyRows(d)
-	}
 }
 
 // scatter distributes one delta list into per-row neighbor lists,
@@ -394,20 +375,5 @@ func mergeRow(dst, old, adds, dels []int32, row int) {
 	}
 	if k != len(dels) {
 		panic(fmt.Sprintf("graph: ApplyDelta death of an edge absent from row %d", row))
-	}
-}
-
-// applyRows folds the delta into the attached dense row matrix:
-// O(churn) bit flips, no row rebuilds.
-func (m *Mutable) applyRows(d Delta) {
-	for _, k := range d.Births {
-		u, v := UnpackEdge(k)
-		m.rows.setBit(u, v)
-		m.rows.setBit(v, u)
-	}
-	for _, k := range d.Deaths {
-		u, v := UnpackEdge(k)
-		m.rows.clearBit(u, v)
-		m.rows.clearBit(v, u)
 	}
 }

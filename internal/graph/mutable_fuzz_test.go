@@ -9,8 +9,7 @@ import (
 
 // FuzzMutableDelta runs generated delta chains through one Mutable and
 // checks it after every step against a fresh Builder build of the same
-// edge set (and, once attached, its dense rows against fresh
-// NewDenseRows). n runs from 1 to 96 and the start is a G(n, d) sample
+// edge set. n runs from 1 to 96 and the start is a G(n, d) sample
 // from the seed. Each op byte b names a node u = b/5 mod n (so nodes
 // 0–51) and, by b mod 5, one of:
 //
@@ -18,16 +17,14 @@ import (
 //	1: fill u — every absent pair at u is born, forcing a relayout once
 //	   the row outgrows its slack
 //	2: empty u — every present pair at u dies
-//	3: attach dense rows, or, when attached, Reset to a fresh build
-//	   (which detaches them and drops the retired set)
+//	3: Reset to a fresh build (which drops the retired set)
 //	4: retire u — u joins the retired set; the first such op calls
 //	   Retire
 //
 // so a chain empties and refills rows, relayouts repeatedly — each
-// relayout recycling the arrays the previous one replaced — keeps an
-// attached DenseRows coherent, and goes on after nodes retire. Every
-// row of an unretired node, M() and the dense rows must match the
-// fresh build, and the live view pointer must survive every delta.
+// relayout recycling the arrays the previous one replaced — restarts
+// from Reset, and goes on after nodes retire. Every row of an unretired
+// node and M() must match the fresh build, and the live view pointer must survive every delta.
 // The seed corpus lives in testdata/fuzz/FuzzMutableDelta and runs
 // under plain go test.
 func FuzzMutableDelta(f *testing.F) {
@@ -61,14 +58,8 @@ func FuzzMutableDelta(f *testing.F) {
 			u := int(op/5) % n
 			switch op % 5 {
 			case 3:
-				if m.rows == nil {
-					// From a fresh build: after Retire the view no
-					// longer holds every row.
-					m.SetDenseRows(NewDenseRows(buildFromKeys(n, keys()), w))
-				} else {
-					m.Reset(buildFromKeys(n, keys()))
-					done = bitset.New(n)
-				}
+				m.Reset(buildFromKeys(n, keys()))
+				done = bitset.New(n)
 				continue
 			case 4:
 				done.Add(u)
@@ -104,17 +95,6 @@ func FuzzMutableDelta(f *testing.F) {
 			}
 			want := buildFromKeys(n, keys())
 			liveRowsEqual(t, "mutable", m.Graph(), want, done)
-			if m.rows != nil {
-				fresh := NewDenseRows(want, 1)
-				for v := 0; v < n; v++ {
-					got, exp := m.rows.Row(v), fresh.Row(v)
-					for i := range exp {
-						if got[i] != exp[i] {
-							t.Fatalf("step %d: dense row %d word %d: %x vs %x", step, v, i, got[i], exp[i])
-						}
-					}
-				}
-			}
 		}
 	})
 }

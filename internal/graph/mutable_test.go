@@ -173,30 +173,6 @@ func TestMutableOverflowRelayout(t *testing.T) {
 	graphsEqual(t, "shrunk", m.Graph(), buildFromKeys(n, rest))
 }
 
-// TestMutableDenseRowsCoherent checks that an attached dense matrix
-// tracks the snapshot bit for bit through deltas.
-func TestMutableDenseRowsCoherent(t *testing.T) {
-	const n = 100
-	r := rng.New(11)
-	keys := randomKeys(n, 0.08, r)
-	m := NewMutable(buildFromKeys(n, keys))
-	m.SetDenseRows(NewDenseRows(m.Graph(), 1))
-	for round := 0; round < 10; round++ {
-		var d Delta
-		d, keys = randomDelta(n, keys, 0.02, 0.2, r)
-		m.ApplyDelta(d, 2)
-	}
-	want := NewDenseRows(buildFromKeys(n, keys), 1)
-	for u := 0; u < n; u++ {
-		g, w := m.rows.Row(u), want.Row(u)
-		for i := range g {
-			if g[i] != w[i] {
-				t.Fatalf("dense row %d word %d: %x vs %x", u, i, g[i], w[i])
-			}
-		}
-	}
-}
-
 func expectPanic(t *testing.T, label string, fn func()) {
 	t.Helper()
 	defer func() {
@@ -287,8 +263,8 @@ func panicMessage(fn func()) (msg string) {
 }
 
 // TestMutableResetMatchesFresh pins the pooling contract: a Mutable
-// that has lived through one run — deltas applied, dense rows attached,
-// rows relaid out — and is then Reset onto a different graph must be
+// that has lived through one run — deltas applied, rows relaid out —
+// and is then Reset onto a different graph must be
 // indistinguishable from a fresh NewMutable of that graph, across a
 // whole delta chain. Shrinking and growing resets both take the reuse
 // path.
@@ -301,10 +277,6 @@ func TestMutableResetMatchesFresh(t *testing.T) {
 		d, wear = randomDelta(120, wear, 0.05, 0.2, r)
 		dirty.ApplyDelta(d, 2)
 	}
-	rows := NewDenseRows(dirty.Graph(), 1)
-	dirty.SetDenseRows(rows)
-	before := append([]uint64(nil), rows.Row(0)...)
-
 	for _, n := range []int{60, 200} { // shrink, then grow
 		init := randomKeys(n, 0.07, r)
 		g := buildFromKeys(n, init)
@@ -318,15 +290,6 @@ func TestMutableResetMatchesFresh(t *testing.T) {
 			dirty.ApplyDelta(d, 1+round%3)
 			fresh.ApplyDelta(d, 1)
 			graphsEqual(t, "post-reset chain", dirty.Graph(), fresh.Graph())
-		}
-	}
-
-	// Reset must have detached the dense rows: the old matrix is the
-	// caller's and the post-reset delta chain must not touch it.
-	after := rows.Row(0)
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("detached dense rows mutated at word %d", i)
 		}
 	}
 }

@@ -181,15 +181,13 @@ func (e *Executor) phaseHooks(sink func(Event)) (factory func(trial int) core.Ph
 }
 
 // publicSpec strips execution-only hints from the spec embedded in a
-// Result: Workers, Parallelism, ProtocolEngine, Snapshot and Receivers
-// are excluded from the content hash, so they must not leak into the
-// cached bytes either — otherwise the same hash would serve different
-// bytes depending on which submitter simulated first.
+// Result: Workers, Parallelism and Receivers are excluded from the
+// content hash, so they must not leak into the cached bytes either —
+// otherwise the same hash would serve different bytes depending on
+// which submitter simulated first.
 func publicSpec(c spec.Spec) spec.Spec {
 	c.Workers = 0
 	c.Parallelism = 0
-	c.ProtocolEngine = ""
-	c.Snapshot = ""
 	c.Receivers = nil
 	return c
 }
@@ -243,10 +241,8 @@ func (e *Executor) runFlooding(ctx context.Context, c spec.Spec, hash string, si
 }
 
 // runProtocol executes a campaign of a non-flooding protocol on the
-// gossip engine selected by the spec's ProtocolEngine hint (the
-// bit-parallel sharded kernel by default, the per-node reference on
-// request — byte-identical either way), through the same campaign
-// runner megsim and the bench suite use.
+// bit-parallel sharded gossip engine, through the same campaign runner
+// megsim and the bench suite use.
 func (e *Executor) runProtocol(ctx context.Context, c spec.Spec, hash string, sink func(Event)) (*Result, error) {
 	factory, desc, err := c.NewFactory()
 	if err != nil {

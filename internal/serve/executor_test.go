@@ -139,9 +139,9 @@ func TestResultBytesIgnoreWorkers(t *testing.T) {
 }
 
 func TestResultBytesIgnoreProtocolEngine(t *testing.T) {
-	// ProtocolEngine is excluded from the content hash, so the kernel
-	// and reference engines must produce byte-identical results for one
-	// spec — the invariant that makes the hint safe to exclude.
+	// ProtocolEngine is a retired hint: specs carrying either value
+	// must run the same engine and produce byte-identical results under
+	// one content hash.
 	base := spec.Spec{
 		Model:    spec.Model{Name: "geometric", N: 256},
 		Protocol: spec.Protocol{Name: "push-pull"},
@@ -175,10 +175,8 @@ func TestResultBytesIgnoreProtocolEngine(t *testing.T) {
 }
 
 func TestResultBytesIgnoreSnapshotPath(t *testing.T) {
-	// Snapshot is excluded from the content hash, so the full-rebuild
-	// and incremental-delta paths must produce byte-identical cached
-	// results for one spec — the invariant that makes the hint safe to
-	// exclude.
+	// Snapshot is a retired hint: specs carrying either value must
+	// produce byte-identical cached results under one content hash.
 	base := spec.Spec{
 		Model:   spec.Model{Name: "edge", N: 256, PhatMult: 2, Q: 0.05},
 		Trials:  2,

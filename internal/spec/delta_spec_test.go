@@ -5,32 +5,33 @@ import (
 	"testing"
 )
 
+// TestSnapshotHintValidatedAndExcludedFromHash pins the retired hint:
+// any value still parses (older specs keep working), canonicalization
+// drops it, and it never reaches the content hash.
 func TestSnapshotHintValidatedAndExcludedFromHash(t *testing.T) {
-	if _, err := Parse([]byte(`{"model":{"name":"edge","n":128},"snapshot":"sideways"}`)); err == nil {
-		t.Fatal("bogus snapshot mode accepted")
-	}
 	a, err := Parse([]byte(`{"model":{"name":"edge","n":128}}`))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	b, err := Parse([]byte(`{"model":{"name":"edge","n":128},"snapshot":"delta"}`))
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
 	ha, _ := a.Hash()
-	hb, _ := b.Hash()
-	if ha != hb {
-		t.Fatal("snapshot execution hint perturbed the content hash")
-	}
-	if b.Snapshot != "delta" {
-		t.Fatalf("canonicalization dropped the snapshot hint: %q", b.Snapshot)
-	}
-	cj, err := b.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(cj), "snapshot") {
-		t.Fatalf("hash view leaks the snapshot hint: %s", cj)
+	for _, v := range []string{"full", "delta", "sideways"} {
+		b, err := Parse([]byte(`{"model":{"name":"edge","n":128},"snapshot":"` + v + `"}`))
+		if err != nil {
+			t.Fatalf("snapshot %q rejected: %v", v, err)
+		}
+		if hb, _ := b.Hash(); ha != hb {
+			t.Fatalf("snapshot %q perturbed the content hash", v)
+		}
+		if b.Snapshot != "" {
+			t.Fatalf("canonicalization kept the retired snapshot hint: %q", b.Snapshot)
+		}
+		cj, err := b.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(cj), "snapshot") {
+			t.Fatalf("hash view leaks the snapshot hint: %s", cj)
+		}
 	}
 }
 

@@ -179,22 +179,18 @@ type Spec struct {
 	// hint: results are byte-identical for every value, so it is
 	// excluded from the content hash and stripped from cached results.
 	Parallelism int `json:"parallelism,omitempty"`
-	// ProtocolEngine selects the implementation that runs a non-flooding
-	// protocol: "kernel" (the bit-parallel sharded gossip engine, the
-	// default) or "reference" (the per-node oracle in internal/protocol).
-	// The engines are byte-identical on the same seeds, so like Workers
-	// and Parallelism this is an execution hint excluded from the
-	// content hash and stripped from cached results. Zeroed for the
-	// flooding protocol (which it cannot affect); preserved for
-	// experiment specs, whose protocol experiments honor it.
+	// ProtocolEngine once selected the implementation of a
+	// non-flooding protocol ("kernel" or "reference"). It is a retired
+	// execution hint: accepted with any value so older specs still
+	// parse, ignored, and zeroed by canonicalization. Specs always run
+	// the bit-parallel kernel engine, which is byte-identical to the
+	// reference.
 	ProtocolEngine string `json:"protocolEngine,omitempty"`
-	// Snapshot selects the engines' per-round snapshot path: "full"
-	// (or empty — rebuild every round) or "delta" (incremental
-	// maintenance from the model's edge churn, with transparent
-	// fallback for models without delta support). The paths are
-	// byte-identical, so like Workers and Parallelism this is an
-	// execution hint excluded from the content hash and stripped from
-	// cached results.
+	// Snapshot once selected the per-round snapshot path ("full" or
+	// "delta"). It is a retired execution hint: accepted with any value
+	// so older specs still parse, ignored, and zeroed by
+	// canonicalization. The engines choose the path from the model's
+	// expected churn (core.ChurnHinter), with byte-identical results.
 	Snapshot string `json:"snapshot,omitempty"`
 	// Receivers lists webhook URLs (http/https) that megserve notifies
 	// when the job reaches a terminal state: a POST per URL carrying
@@ -270,19 +266,13 @@ func (s Spec) Canonical() (Spec, error) {
 	if s.Parallelism < -1 {
 		return Spec{}, fmt.Errorf("spec: parallelism %d must be -1 (all CPUs), 0/1 (serial), or a worker count", s.Parallelism)
 	}
-	switch s.ProtocolEngine {
-	case "", "kernel", "reference":
-	default:
-		return Spec{}, fmt.Errorf("spec: unknown protocolEngine %q (want kernel|reference)", s.ProtocolEngine)
-	}
-	if _, err := core.ParseSnapshotMode(s.Snapshot); err != nil {
-		return Spec{}, fmt.Errorf("spec: %w", err)
-	}
 	if err := validateReceivers(s.Receivers); err != nil {
 		return Spec{}, err
 	}
-	// Revision markers are outputs of hashing, never inputs.
+	// Revision markers are outputs of hashing, never inputs, and the
+	// retired hints are ignored.
 	s.ProtoAlgo, s.ModelAlgo = 0, 0
+	s.ProtocolEngine, s.Snapshot = "", ""
 
 	if s.Experiment != "" {
 		// Experiment jobs carry only (experiment, scale, seed): the
@@ -377,9 +367,6 @@ func (s Spec) Canonical() (Spec, error) {
 	}
 
 	if p.Name == "flooding" {
-		// Flooding runs on the flooding engine; the gossip-engine
-		// selection hint does not apply.
-		s.ProtocolEngine = ""
 		e := &s.Engine
 		if e.Kernel == "" {
 			e.Kernel = "auto"
@@ -464,9 +451,9 @@ const protoAlgoRevision = 2
 const modelAlgoRevision = 2
 
 // hashView is the hashed subset of a canonical spec: everything except
-// execution-only hints (Workers, Parallelism, ProtocolEngine,
-// Snapshot). Field order is fixed by this struct, so the marshaled
-// form is canonical.
+// execution-only hints (Workers, Parallelism, Receivers) and the
+// retired ones (ProtocolEngine, Snapshot). Field order is fixed by this
+// struct, so the marshaled form is canonical.
 type hashView struct {
 	SchemaVersion int      `json:"version"`
 	Model         Model    `json:"model"`

@@ -268,6 +268,9 @@ func TestRFracZeroIsFrozenWalkNotDefault(t *testing.T) {
 	}
 }
 
+// TestProtocolEngineIsExecutionHint pins the retired hint: a spec that
+// still names an engine hashes as the spec without it, and
+// canonicalization drops the value.
 func TestProtocolEngineIsExecutionHint(t *testing.T) {
 	base := Spec{
 		Model:    Model{Name: "edge", N: 256},
@@ -290,40 +293,37 @@ func TestProtocolEngineIsExecutionHint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Canonical: %v", err)
 	}
-	if c.ProtocolEngine != "reference" {
-		t.Fatalf("canonicalization dropped protocolEngine: %q", c.ProtocolEngine)
-	}
-}
-
-func TestProtocolEngineValidation(t *testing.T) {
-	s := Spec{
-		Model:          Model{Name: "edge", N: 256},
-		Protocol:       Protocol{Name: "push"},
-		ProtocolEngine: "warp",
-	}
-	if _, err := s.Canonical(); err == nil {
-		t.Fatal("bogus protocolEngine accepted")
-	}
-}
-
-func TestProtocolEngineZeroedWhereMeaningless(t *testing.T) {
-	flood := Spec{Model: Model{Name: "edge", N: 256}, ProtocolEngine: "reference"}
-	c, err := flood.Canonical()
-	if err != nil {
-		t.Fatalf("Canonical: %v", err)
-	}
 	if c.ProtocolEngine != "" {
-		t.Fatalf("flooding spec kept protocolEngine %q", c.ProtocolEngine)
+		t.Fatalf("canonicalization kept the retired protocolEngine: %q", c.ProtocolEngine)
 	}
-	// Experiment specs keep it: like Workers/Parallelism it is a
-	// preserved execution hint the experiment harness can honor.
-	exp := Spec{Experiment: "E4", ProtocolEngine: "reference"}
-	c, err = exp.Canonical()
-	if err != nil {
-		t.Fatalf("Canonical: %v", err)
+}
+
+// TestProtocolEngineValidation pins that the retired hint is no longer
+// validated: any value parses, so no older spec stops parsing.
+func TestProtocolEngineValidation(t *testing.T) {
+	for _, v := range []string{"kernel", "reference", "warp"} {
+		if _, err := Parse([]byte(`{"model":{"name":"edge","n":256},"protocol":{"name":"push"},"protocolEngine":"` + v + `"}`)); err != nil {
+			t.Errorf("protocolEngine %q rejected: %v", v, err)
+		}
 	}
-	if c.ProtocolEngine != "reference" {
-		t.Fatalf("experiment spec lost protocolEngine: %q", c.ProtocolEngine)
+}
+
+// TestProtocolEngineZeroedWhereMeaningless pins that canonicalization
+// drops the retired hint on every kind of spec: flooding, gossip and
+// experiment.
+func TestProtocolEngineZeroedWhereMeaningless(t *testing.T) {
+	for _, s := range []Spec{
+		{Model: Model{Name: "edge", N: 256}, ProtocolEngine: "reference"},
+		{Model: Model{Name: "edge", N: 256}, Protocol: Protocol{Name: "push"}, ProtocolEngine: "reference"},
+		{Experiment: "E16", ProtocolEngine: "reference"},
+	} {
+		c, err := s.Canonical()
+		if err != nil {
+			t.Fatalf("Canonical: %v", err)
+		}
+		if c.ProtocolEngine != "" {
+			t.Errorf("spec %+v kept protocolEngine %q", s, c.ProtocolEngine)
+		}
 	}
 }
 

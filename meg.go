@@ -87,9 +87,12 @@ const (
 // Parallelism to run the sharded engine — results are byte-identical
 // for every worker count. Under KernelAuto the geometric models flood
 // without snapshots: each round asks "is an informed node within R?"
-// of the cell grid the model rebuilds anyway, so PullThreshold and
-// Snapshot are ignored there. Pin KernelPush or KernelPull to run the
-// snapshot kernels; results are byte-identical either way.
+// of the cell grid the model rebuilds anyway, so PullThreshold is
+// ignored there. Pin KernelPush or KernelPull to run the snapshot
+// kernels; results are byte-identical either way. There is no snapshot
+// option: the engines maintain a DeltaDynamics' snapshots
+// incrementally when its expected churn is low and rebuild them
+// otherwise (see DeltaDynamics).
 type FloodOptions = core.FloodOptions
 
 // MultiOptions tunes FloodMultiOpt (cancellation, progress, and the
@@ -103,27 +106,25 @@ type MultiOptions = core.MultiOptions
 type Parallelizable = core.Parallelizable
 
 // DeltaDynamics is implemented by dynamics that can report each step's
-// edge churn directly (the edge-MEG in this repository); with
-// FloodOptions.Snapshot = SnapshotDelta the engines then maintain the
-// snapshot incrementally — rebuilding only the adjacency rows the
-// churn touches — instead of re-materializing O(n + m) per round.
-// Results are byte-identical to the full path, and dynamics without
-// it (the geometric models) fall back to full rebuilds.
+// edge churn directly (the edge-MEG in this repository). The engines
+// then maintain the snapshot incrementally — rebuilding only the
+// adjacency rows the churn touches — instead of re-materializing
+// O(n + m) per round, unless the dynamics' ChurnHinter says the churn
+// is too high for that to pay: the edge-MEG takes the delta path while
+// 2q·d̄, its expected delta endpoints per row, is below 1/8. Results
+// are byte-identical either way, and dynamics without it (the
+// geometric models) rebuild in full.
 type DeltaDynamics = core.DeltaDynamics
+
+// ChurnHinter is optionally implemented by a DeltaDynamics that knows
+// its expected per-step churn |births| + |deaths| in closed form; the
+// engines use it to choose between incremental and full snapshots. A
+// DeltaDynamics without it always takes the incremental path.
+type ChurnHinter = core.ChurnHinter
 
 // Delta is the edge difference between consecutive snapshots: births
 // and deaths as packed, ascending edge-key lists (graph.PackEdge).
 type Delta = graph.Delta
-
-// SnapshotMode selects the engines' per-round snapshot path.
-type SnapshotMode = core.SnapshotMode
-
-// Snapshot modes: full rebuild per round, or incremental maintenance
-// from the model's edge churn (low-churn regimes' fast path).
-const (
-	SnapshotFull  = core.SnapshotFull
-	SnapshotDelta = core.SnapshotDelta
-)
 
 // Flood runs the flooding process on d from the given source with a
 // round cap; see core.Flood for exact semantics.
