@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"meg"
+	"meg/internal/core"
 	"meg/internal/experiments"
 )
 
@@ -59,58 +60,55 @@ func BenchmarkE18_MeanField(b *testing.B)       { benchExperiment(b, "E18") }
 func BenchmarkE19_Uniformity(b *testing.B)      { benchExperiment(b, "E19") }
 func BenchmarkE20_Faults(b *testing.B)          { benchExperiment(b, "E20") }
 
-func benchFloodGeometric(b *testing.B, opt meg.FloodOptions) {
+// benchFlood measures one full stationary flooding run (sample π, then
+// flood to completion) per op. push pins the sparse push kernel over
+// CSR snapshots (the pre-direction-optimizing behavior) for comparison;
+// hiding the model's optional interfaces also takes a geometric model
+// off its cell-grid spread.
+func benchFlood(b *testing.B, model meg.Dynamics, push bool) {
+	if push {
+		defer core.SetKernelForTest("push")()
+		model = struct{ meg.Dynamics }{model}
+	}
+	n := model.N()
+	r := meg.NewRNG(1)
+	rounds := 0.0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		model.Reset(r.Split())
+		res := meg.Flood(model, 0, meg.DefaultRoundCap(n))
+		rounds += float64(res.Rounds)
+	}
+	b.ReportMetric(rounds/float64(b.N), "rounds/op")
+}
+
+func geometric4k() meg.Dynamics {
 	n := 4096
 	radius := 2 * math.Sqrt(math.Log(float64(n)))
-	cfg := meg.GeometricConfig{N: n, R: radius, MoveRadius: radius / 2}
-	r := meg.NewRNG(1)
-	model := meg.NewGeometric(cfg)
-	rounds := 0.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		model.Reset(r.Split())
-		res := meg.FloodOpt(model, 0, meg.DefaultRoundCap(n), opt)
-		rounds += float64(res.Rounds)
-	}
-	b.ReportMetric(rounds/float64(b.N), "rounds/op")
+	return meg.NewGeometric(meg.GeometricConfig{N: n, R: radius, MoveRadius: radius / 2})
 }
 
-// BenchmarkFloodGeometric measures one full stationary geometric-MEG
-// flooding run (sample π, then flood to completion) at the paper's
-// canonical parameters, using the direction-optimizing default kernel.
-func BenchmarkFloodGeometric(b *testing.B) { benchFloodGeometric(b, meg.FloodOptions{}) }
-
-// BenchmarkFloodGeometricPush pins the sparse push kernel (the
-// pre-direction-optimizing behavior) for comparison.
-func BenchmarkFloodGeometricPush(b *testing.B) {
-	benchFloodGeometric(b, meg.FloodOptions{Kernel: meg.KernelPush})
-}
-
-func benchFloodEdge(b *testing.B, opt meg.FloodOptions) {
+func edge4k() meg.Dynamics {
 	n := 4096
 	pHat := 4 * math.Log(float64(n)) / float64(n)
-	cfg := meg.EdgeConfig{N: n, P: 0.5 * pHat / (1 - pHat), Q: 0.5}
-	r := meg.NewRNG(1)
-	model := meg.NewEdgeMarkovian(cfg)
-	rounds := 0.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		model.Reset(r.Split())
-		res := meg.FloodOpt(model, 0, meg.DefaultRoundCap(n), opt)
-		rounds += float64(res.Rounds)
-	}
-	b.ReportMetric(rounds/float64(b.N), "rounds/op")
+	return meg.NewEdgeMarkovian(meg.EdgeConfig{N: n, P: 0.5 * pHat / (1 - pHat), Q: 0.5})
 }
 
-// BenchmarkFloodEdge measures one full stationary edge-MEG flooding run
-// at p̂ = 4·log n/n with the direction-optimizing default kernel.
-func BenchmarkFloodEdge(b *testing.B) { benchFloodEdge(b, meg.FloodOptions{}) }
+// BenchmarkFloodGeometric floods the stationary geometric-MEG at the
+// paper's canonical parameters through the default engine.
+func BenchmarkFloodGeometric(b *testing.B) { benchFlood(b, geometric4k(), false) }
 
-// BenchmarkFloodEdgePush pins the sparse push kernel (the
-// pre-direction-optimizing behavior) for comparison.
-func BenchmarkFloodEdgePush(b *testing.B) {
-	benchFloodEdge(b, meg.FloodOptions{Kernel: meg.KernelPush})
-}
+// BenchmarkFloodGeometricPush is BenchmarkFloodGeometric on the pinned
+// push kernel.
+func BenchmarkFloodGeometricPush(b *testing.B) { benchFlood(b, geometric4k(), true) }
+
+// BenchmarkFloodEdge floods the stationary edge-MEG at p̂ = 4·log n/n
+// through the default engine.
+func BenchmarkFloodEdge(b *testing.B) { benchFlood(b, edge4k(), false) }
+
+// BenchmarkFloodEdgePush is BenchmarkFloodEdge on the pinned push
+// kernel.
+func BenchmarkFloodEdgePush(b *testing.B) { benchFlood(b, edge4k(), true) }
 
 // BenchmarkFloodEdgeMulti64 amortizes one stationary edge-MEG snapshot
 // sequence across 64 sources with the bit-parallel batched engine; the

@@ -36,13 +36,6 @@
 //	-history DIR                 print a per-scenario trend table across
 //	                             every BENCH file in DIR and exit (runs
 //	                             nothing; -compare diffs only the newest)
-//	-kernel auto|push|pull       flooding kernel (default auto). Kernels
-//	                             compute identical results per flooding
-//	                             call; note that pinning one also forces
-//	                             the per-source (unbatched) estimator in
-//	                             the multi-source experiments (E4, E8),
-//	                             whose sampled rows then differ from the
-//	                             auto run at standard/full scale.
 //	-csv DIR                     also write every table as CSV into DIR
 //	-list                        list experiments and exit
 //	-suite                       run the benchmark trajectory suite
@@ -59,7 +52,6 @@ import (
 	"time"
 
 	"meg/internal/bench"
-	"meg/internal/core"
 	"meg/internal/experiments"
 )
 
@@ -67,7 +59,6 @@ func main() {
 	scaleFlag := flag.String("scale", "standard", "experiment scale: quick|standard|full")
 	seed := flag.Uint64("seed", 1, "base RNG seed")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = all CPUs)")
-	kernelFlag := flag.String("kernel", "auto", "flooding kernel: auto|push|pull (identical results per flooding call; pinning one also disables source batching in E4/E8)")
 	parallelism := flag.Int("par", 0, "intra-trial worker count of the sharded engine (0/1 = serial, -1 = all CPUs); results are identical for every value")
 	compareDir := flag.String("compare", "", "with -suite: diff the run against the newest bench/history BENCH file in this directory and print a regression table")
 	historyDir := flag.String("history", "", "print a per-scenario trend table across every BENCH file in this directory and exit (no experiments run)")
@@ -109,12 +100,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	kernel, err := core.ParseKernel(*kernelFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	params := experiments.Params{Scale: scale, Seed: *seed, Workers: *workers, Kernel: kernel, Parallelism: *parallelism}
+	params := experiments.Params{Scale: scale, Seed: *seed, Workers: *workers, Parallelism: *parallelism}
 
 	var selected []experiments.Experiment
 	if flag.NArg() == 0 {

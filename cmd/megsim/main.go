@@ -43,7 +43,6 @@ func main() {
 	proto := flag.String("protocol", "flooding", "protocol: flooding|probabilistic|push|push-pull|lossy")
 	beta := flag.Float64("beta", 0, "forward probability (probabilistic protocol)")
 	loss := flag.Float64("loss", 0, "per-message loss probability (lossy protocol)")
-	kernel := flag.String("kernel", "auto", "flooding kernel: auto|push|pull")
 	batch := flag.Bool("batch", false, "batch each trial's sources bit-parallel over one realization")
 	parallelism := flag.Int("par", 0, "intra-trial worker count of the sharded engine (0/1 = serial, -1 = all CPUs); results are identical for every value")
 	seed := flag.Uint64("seed", 1, "RNG seed")
@@ -80,7 +79,7 @@ func main() {
 				PhatMult: *phatmult, Q: *q, Empty: *emptyStart,
 			},
 			Protocol:    spec.Protocol{Name: *proto, Beta: *beta, Loss: *loss},
-			Engine:      spec.Engine{Kernel: *kernel, BatchSources: *batch},
+			Engine:      spec.Engine{BatchSources: *batch},
 			Trials:      *trials,
 			Sources:     *sources,
 			Seed:        *seed,

@@ -105,9 +105,9 @@ func Suite() []Scenario {
 	// informs early; the rest of the fixed horizon chases the last <1%
 	// of stragglers — the regime the active-set pull kernel targets,
 	// isolated so its win is visible in the trajectory (see
-	// Variant.StragglerShare). Geometric flooding under the auto kernel
-	// builds no snapshot at all (core.Spreader), so both variants run
-	// the snapshot-free spread.
+	// Variant.StragglerShare). Geometric flooding builds no snapshot
+	// at all (core.Spreader), so both variants run the snapshot-free
+	// spread.
 	straggler := func(n, maxRounds int) spec.Spec {
 		return spec.Spec{
 			Model:     spec.Model{Name: "geometric", N: n, Mult: 0.5, RFrac: 0.8, Jump: 0.005},

@@ -16,8 +16,7 @@ import (
 // Every kernel (auto, push, pull) at every shard count in {1, 3, 8},
 // with the active-set crossover pinned to never and to always, must
 // reproduce the oracle's FloodResult exactly. A single-snapshot input
-// also runs as a Static graph, which arms the skip layer and, for dense
-// inputs, the dense-row pull. FloodMultiOpt on the same sequence, from
+// also runs as a Static graph. FloodMultiOpt on the same sequence, from
 // up to 70 sources (two 64-source groups), must match the oracle's solo
 // run from each source. The seed corpus lives in
 // testdata/fuzz/FuzzFloodKernels and runs under plain go test.
@@ -61,10 +60,10 @@ func FuzzFloodKernels(f *testing.F) {
 		for name, mk := range dyns {
 			for _, frac := range []float64{0, 1} {
 				restore := SetActiveSetFracForTest(frac)
-				for _, kernel := range []Kernel{KernelAuto, KernelPush, KernelPull} {
+				for _, kernel := range kernels {
 					for _, par := range []int{1, 3, 8} {
-						got := FloodOpt(mk(), src, maxRounds, FloodOptions{Kernel: kernel, Parallelism: par})
-						sameResult(t, name+"/"+kernel.String(), got, want)
+						got := floodPinned(kernel, mk(), src, maxRounds, FloodOptions{Parallelism: par})
+						sameResult(t, name+"/"+kernel, got, want)
 					}
 				}
 				restore()
@@ -153,7 +152,7 @@ func floodOracle(lists [][][]int32, source, maxRounds int) FloodResult {
 // probability q and every absent one is born with q·p̂/(1−p̂)), replayed
 // cyclically with the delta of every step, last to first included.
 // p_0 ≠ p̂ starts the chain away from stationarity, so the average
-// degree, and with it KernelAuto's push/pull threshold, drifts.
+// degree, and with it the engine's push/pull threshold, drifts.
 // Every kernel at Parallelism 1, 2 and 8, with the active-set crossover
 // at never, always and the default, floods it on the delta path (the
 // sequence implements DeltaDynamics without a ChurnHinter, so the
@@ -216,10 +215,10 @@ func FuzzFloodDelta(f *testing.F) {
 
 		for _, frac := range []float64{0, 1, defaultActiveSetFrac} {
 			restore := SetActiveSetFracForTest(frac)
-			for _, kernel := range []Kernel{KernelAuto, KernelPush, KernelPull} {
+			for _, kernel := range kernels {
 				for _, par := range []int{1, 2, 8} {
 					d := &deltaSequence{Sequence: NewSequence(gs...), deltas: deltas}
-					got := FloodOpt(d, src, maxRounds, FloodOptions{Kernel: kernel, Parallelism: par})
+					got := floodPinned(kernel, d, src, maxRounds, FloodOptions{Parallelism: par})
 					sameResult(t, fmt.Sprintf("delta/%s/P%d/frac=%g", kernel, par, frac), got, want)
 				}
 			}

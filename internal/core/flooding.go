@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 
 	"meg/internal/bitset"
 	"meg/internal/graph"
@@ -73,58 +71,11 @@ func (r FloodResult) RoundsToHalf(n int) int {
 	return -1
 }
 
-// Kernel selects the per-round strategy for computing N(I_t).
-type Kernel int
-
-const (
-	// KernelAuto is the direction-optimizing default: push while the
-	// informed set is small, switch to pull once it passes the
-	// configured threshold fraction of n. Both kernels compute exactly
-	// I_{t+1} = I_t ∪ N(I_t), so the choice affects speed only.
-	KernelAuto Kernel = iota
-	// KernelPush always scans the adjacency lists of informed senders
-	// (the sparse kernel): O(Σ_{u∈I_t} deg u) per round.
-	KernelPush
-	// KernelPull always scans uninformed receivers (the dense kernel):
-	// each uninformed node checks its own adjacency row for an informed
-	// neighbor, with early exit on the first hit. The uninformed side is
-	// enumerated word-parallel from the informed bitset's complement.
-	KernelPull
-)
-
-// String returns the kernel's flag spelling.
-func (k Kernel) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelPush:
-		return "push"
-	case KernelPull:
-		return "pull"
-	default:
-		return fmt.Sprintf("Kernel(%d)", int(k))
-	}
-}
-
-// ParseKernel converts a flag value into a Kernel.
-func ParseKernel(s string) (Kernel, error) {
-	switch strings.ToLower(s) {
-	case "auto", "":
-		return KernelAuto, nil
-	case "push", "sparse":
-		return KernelPush, nil
-	case "pull", "dense":
-		return KernelPull, nil
-	default:
-		return KernelAuto, fmt.Errorf("core: unknown kernel %q (want auto|push|pull)", s)
-	}
-}
-
-// pullThresholdFor derives KernelAuto’s push→pull switch fraction
-// from an average-degree estimate: the switch point that balances the
-// two kernels’ expected costs is f* ≈ 1/√d̄ for average degree d̄
-// (push costs ≈ f·n·d̄ probes, pull costs ≈ (1−f)·n·min(d̄, 1/f) with
-// early exit), clamped to [0.02, 0.5].
+// pullThresholdFor derives the snapshot path's push→pull switch
+// fraction from an average-degree estimate: the switch point that
+// balances the two kernels’ expected costs is f* ≈ 1/√d̄ for average
+// degree d̄ (push costs ≈ f·n·d̄ probes, pull costs ≈ (1−f)·n·min(d̄, 1/f)
+// with early exit), clamped to [0.02, 0.5].
 func pullThresholdFor(avgDeg float64) float64 {
 	if avgDeg <= 1 || math.IsNaN(avgDeg) {
 		return 0.5
@@ -139,10 +90,35 @@ func pullThresholdFor(avgDeg float64) float64 {
 	return f
 }
 
+// pinnedKernel is "" in production, where the snapshot path chooses
+// push or pull every round. Tests pin "push" or "pull" through
+// SetKernelForTest to check each kernel against the others.
+var pinnedKernel string
+
+// SetKernelForTest pins the snapshot path's flooding kernel to "push"
+// or "pull" ("auto" restores the per-round choice) and returns a
+// restore func. Test-only knob: every kernel computes the same
+// FloodResult, so production always chooses. A Spreader dynamics
+// ignores the pin; hide its Spreader (struct{ Dynamics }{d}) to run the
+// pinned kernel.
+func SetKernelForTest(kernel string) func() {
+	switch kernel {
+	case "auto":
+		kernel = ""
+	case "push", "pull":
+	default:
+		panic("core: SetKernelForTest wants auto|push|pull, got " + kernel)
+	}
+	old := pinnedKernel
+	pinnedKernel = kernel
+	return func() { pinnedKernel = old }
+}
+
 // DegreeHinter is optionally implemented by Dynamics whose expected
 // snapshot degree is known in closed form (e.g. (n−1)·p̂ for the
-// stationary edge-MEG). The hint positions KernelAuto's push→pull
-// switch without per-round measurement; it has no effect on results.
+// stationary edge-MEG). The hint positions the snapshot path's
+// push→pull switch without per-round measurement; it has no effect on
+// results.
 type DegreeHinter interface {
 	ExpectedDegree() float64
 }
@@ -153,12 +129,12 @@ type DegreeHinter interface {
 // d(P_u, P_v) ≤ R} needs node positions only, so the model answers it
 // from its cell grid instead of writing every edge of G_t into a CSR.
 // Every geometric-family model implements it (geommeg.Model and
-// mobility.Dynamics, through the shared celldelta.Grid). Under
-// KernelAuto, FloodOpt takes this path whenever the dynamics
-// implements it: each round calls IndexInformed and then Spread, and
-// the chain advances with Step; Graph is never called. Pinned kernels
-// keep the snapshot path, which is the reference the spread is tested
-// against.
+// mobility.Dynamics, through the shared celldelta.Grid). FloodOpt
+// takes this path whenever the dynamics implements it: each round
+// calls IndexInformed and then Spread, and the chain advances with
+// Step; Graph is never called. Tests reach the snapshot kernels, the
+// reference the spread is checked against, by hiding the interface
+// (struct{ Dynamics }{d}).
 type Spreader interface {
 	Dynamics
 	// IndexInformed prepares Spread for the informed set I at the
@@ -171,22 +147,14 @@ type Spreader interface {
 	Spread(informed *bitset.Set, newly []int32) []int32
 }
 
-// FloodOptions tunes the flooding engine. The zero value (KernelAuto,
-// derived threshold) is the right choice almost always.
+// FloodOptions carries the flooding engine's worker count and run
+// callbacks. The engine path is not an option: a Spreader dynamics
+// floods from its own state, and every other dynamics floods its
+// snapshots by push while the informed set is small and by pull once
+// it passes 1/√d̄ of n (clamped to [0.02, 0.5]), with d̄ from the
+// DegreeHinter if implemented, else from each snapshot's average
+// degree. Every path computes the same FloodResult.
 type FloodOptions struct {
-	// Kernel selects the per-round strategy (default KernelAuto).
-	// Under KernelAuto a dynamics that implements Spreader (the
-	// geometric family: the lattice walk and every mobility process)
-	// floods from its own cell grid instead of a snapshot; pin
-	// KernelPush or KernelPull to force the snapshot kernels.
-	Kernel Kernel
-	// PullThreshold overrides the informed-set fraction at which
-	// KernelAuto switches push→pull. ≤ 0 means derive it — 1/√d̄
-	// clamped to [0.02, 0.5] — from the dynamics' DegreeHinter if
-	// implemented, else from each snapshot's average degree. Values > 1
-	// effectively pin KernelAuto to push. The Spreader path has no
-	// push/pull switch and ignores it.
-	PullThreshold float64
 	// Parallelism is the intra-trial worker count of the sharded
 	// engine: node space and sender lists are split into contiguous
 	// shards, each worker writes a private frontier word-range, and the
@@ -227,18 +195,18 @@ type FloodOptions struct {
 // maxRounds must be positive; a cap of 4n is a safe default for
 // connected-regime experiments (see DefaultRoundCap).
 //
-// Flood uses the direction-optimizing engine with default options; use
-// FloodOpt to pin a kernel or move the push/pull switch point.
+// Flood runs with default options; use FloodOpt to set the worker count
+// or attach callbacks.
 func Flood(d Dynamics, source, maxRounds int) FloodResult {
 	return FloodOpt(d, source, maxRounds, FloodOptions{})
 }
 
-// FloodOpt is Flood with explicit engine options. All kernels produce
-// bit-identical FloodResults on the same dynamics state and RNG stream
-// (the kernels never draw randomness; only the dynamics does). Under
-// KernelAuto a Spreader dynamics computes each round from its own state
-// and no snapshot is built; only that step differs, the round
-// bookkeeping is shared.
+// FloodOpt is Flood with explicit options. A Spreader dynamics computes
+// each round from its own state and no snapshot is built; every other
+// dynamics runs the push/pull snapshot kernels. Only that step differs,
+// the round bookkeeping is shared, and every path produces the same
+// FloodResult on the same dynamics state and RNG stream (the kernels
+// never draw randomness; only the dynamics does).
 func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 	n := d.N()
 	if source < 0 || source >= n {
@@ -265,19 +233,14 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 		res.Completed = true
 		return res
 	}
-	thresh := opt.PullThreshold
-	if thresh <= 0 {
-		if h, ok := d.(DegreeHinter); ok {
-			thresh = pullThresholdFor(h.ExpectedDegree())
-		}
+	thresh := 0.0
+	if h, ok := d.(DegreeHinter); ok {
+		thresh = pullThresholdFor(h.ExpectedDegree())
 	}
 	workers := engineWorkers(opt.Parallelism, d)
 	// The Spreader path replaces the snapshot and the kernel choice
 	// outright; its chain advance is a plain Step.
 	sp, _ := d.(Spreader)
-	if opt.Kernel != KernelAuto {
-		sp = nil
-	}
 	snap := newSnapshotter(d, workers, opt.Hook)
 	defer snap.release()
 	var eng *shardEngine
@@ -285,13 +248,6 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 		eng = newShardEngine(n, workers)
 		eng.hook = opt.Hook
 	}
-	// Once the engine pulls on the static baseline it can afford a
-	// dense-row export and test "informed neighbor?" by word-parallel
-	// row intersection: the snapshot never changes, so the export is
-	// paid once per run.
-	st, isStatic := d.(*Static)
-	var rows *graph.DenseRows
-	rowsProbed := false
 	retired := false
 	// senders holds exactly the nodes of I_t; nodes discovered during
 	// round t are appended only after the round completes, enforcing
@@ -324,10 +280,8 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 		switch {
 		case sp != nil:
 			// no snapshot, no direction choice
-		case opt.Kernel == KernelPull:
-			pull = true
-		case opt.Kernel == KernelPush:
-			// never pull
+		case pinnedKernel != "":
+			pull = pinnedKernel == "pull"
 		case eng.uninf.active:
 			// Sticky: the straggler list and the retired rows below
 			// assume every later round pulls, and a per-round AvgDegree
@@ -348,26 +302,7 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 				arrival[v] = int32(t + 1)
 			}
 		} else if pull {
-			if !rowsProbed {
-				rowsProbed = true
-				// Arm the active set's skip layer where a row-change
-				// oracle exists: static snapshots never change a row, the
-				// delta path compares the Mutable's per-row epoch stamps
-				// inline, and the full dynamic path leaves the layer off
-				// (rows may change arbitrarily per round).
-				act := &eng.uninf
-				if isStatic {
-					if denseRowsWorthwhile(st.G) {
-						rows = graph.NewDenseRows(st.G, workers)
-					}
-					act.skipOn = true
-				} else if mut := snap.mutable(); mut != nil {
-					act.skipOn = true
-					act.stamps = mut.RowStamps()
-					act.epoch = mut.Epoch
-				}
-			}
-			newly = eng.pullRound(g, rows, informed, arrival, t, newly, n-len(senders))
+			newly = eng.pullRound(g, informed, arrival, t, newly, n-len(senders))
 		} else {
 			newly = eng.pushRound(g, senders, informed, arrival, t, newly)
 		}
@@ -409,26 +344,14 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 }
 
 // pullHit reports whether uninformed node v has an informed neighbor
-// in the round-start set: a word-parallel row∧informed intersection
-// when rows is attached, else a CSR walk with first-hit early exit.
-func pullHit(g *graph.Graph, rows *graph.DenseRows, words []uint64, informed *bitset.Set, v int) bool {
-	if rows != nil {
-		return rows.Intersects(v, informed)
-	}
+// in the round-start set: a CSR walk with first-hit early exit.
+func pullHit(g *graph.Graph, words []uint64, v int) bool {
 	for _, u := range g.Neighbors(v) {
 		if words[u>>6]&(1<<(uint(u)&63)) != 0 {
 			return true
 		}
 	}
 	return false
-}
-
-// denseRowsWorthwhile gates the one-time bit-matrix export for static
-// snapshots: worthwhile when a dense row (n/64 words) undercuts the
-// average CSR row and the matrix stays comfortably in cache-friendly
-// territory (n ≤ 8192 ⇒ ≤ 8 MiB).
-func denseRowsWorthwhile(g *graph.Graph) bool {
-	return g.N() <= 8192 && g.AvgDegree() >= 64
 }
 
 // Round-cap constants: the default cap is

@@ -13,12 +13,13 @@ import (
 // kernel time. avgDeg controls the regime — sparse floods spend their
 // rounds with small frontiers, dense ones are dominated by the late
 // rounds where most of the graph is uninformed receivers.
-func benchKernelSequence(b *testing.B, n int, avgDeg float64, opt FloodOptions) {
+func benchKernelSequence(b *testing.B, n int, avgDeg float64, kernel string) {
+	defer SetKernelForTest(kernel)()
 	seq := randomSequence(n, 64, avgDeg/float64(n-1), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seq.Reset(nil)
-		res := FloodOpt(seq, i%n, DefaultRoundCap(n), opt)
+		res := Flood(seq, i%n, DefaultRoundCap(n))
 		if !res.Completed {
 			b.Fatal("benchmark flood did not complete")
 		}
@@ -26,21 +27,13 @@ func benchKernelSequence(b *testing.B, n int, avgDeg float64, opt FloodOptions) 
 }
 
 func BenchmarkKernel(b *testing.B) {
-	kernels := []struct {
-		name string
-		opt  FloodOptions
-	}{
-		{"push", FloodOptions{Kernel: KernelPush}},
-		{"pull", FloodOptions{Kernel: KernelPull}},
-		{"auto", FloodOptions{}},
-	}
 	for _, cfg := range []struct {
 		n      int
 		avgDeg float64
 	}{{4096, 12}, {4096, 64}, {4096, 256}} {
 		for _, k := range kernels {
-			b.Run(fmt.Sprintf("n=%d/deg=%.0f/%s", cfg.n, cfg.avgDeg, k.name), func(b *testing.B) {
-				benchKernelSequence(b, cfg.n, cfg.avgDeg, k.opt)
+			b.Run(fmt.Sprintf("n=%d/deg=%.0f/%s", cfg.n, cfg.avgDeg, k), func(b *testing.B) {
+				benchKernelSequence(b, cfg.n, cfg.avgDeg, k)
 			})
 		}
 	}

@@ -36,19 +36,16 @@ func sameResult(t *testing.T, label string, a, b FloodResult) {
 	}
 }
 
-// kernelVariants is the matrix of engine configurations that must all
-// produce bit-identical results: the two pinned kernels, the auto
-// default, and forced-threshold autos that pin the switch to round 0
-// (always pull once any node is informed) and to never.
-func kernelVariants() map[string]FloodOptions {
-	return map[string]FloodOptions{
-		"push":        {Kernel: KernelPush},
-		"pull":        {Kernel: KernelPull},
-		"auto":        {},
-		"auto-pull":   {PullThreshold: 1e-9},
-		"auto-never":  {PullThreshold: 2},
-		"auto-switch": {PullThreshold: 0.1},
-	}
+// kernels are the snapshot-path settings that must all produce
+// bit-identical results: the engine's own push→pull choice and the two
+// pinned kernels.
+var kernels = []string{"auto", "push", "pull"}
+
+// floodPinned is FloodOpt with the snapshot kernel pinned through
+// SetKernelForTest ("auto" leaves the engine's choice).
+func floodPinned(kernel string, d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
+	defer SetKernelForTest(kernel)()
+	return FloodOpt(d, source, maxRounds, opt)
 }
 
 // TestKernelEquivalenceEdge cross-checks sparse and dense flooding on
@@ -62,10 +59,10 @@ func TestKernelEquivalenceEdge(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		ref := FloodResult{}
 		first := true
-		for name, opt := range kernelVariants() {
+		for _, name := range kernels {
 			m := edgemeg.MustNew(cfg)
 			m.Reset(rng.New(seed))
-			res := FloodOpt(m, int(seed)%n, DefaultRoundCap(n), opt)
+			res := floodPinned(name, m, int(seed)%n, DefaultRoundCap(n), FloodOptions{})
 			if !res.Completed {
 				t.Fatalf("seed %d kernel %s: flood did not complete", seed, name)
 			}
@@ -107,26 +104,29 @@ func geomEquivalenceCases() map[string]geommeg.Config {
 }
 
 // TestKernelEquivalenceGeom is the geometric-MEG counterpart, covering
-// the model whose snapshots come from mobile node positions. Under
-// KernelAuto the model floods through its cell grid (core.Spreader);
-// the pinned kernels build CSR snapshots, so every case cross-checks
-// the spatial path against both CSR kernels at several worker counts.
+// the model whose snapshots come from mobile node positions. The model
+// floods through its cell grid (core.Spreader); hiding that interface
+// puts it on the CSR snapshot kernels, so every case cross-checks the
+// spatial path against each CSR kernel at several worker counts.
 func TestKernelEquivalenceGeom(t *testing.T) {
 	for name, cfg := range geomEquivalenceCases() {
 		if _, ok := Dynamics(geommeg.MustNew(cfg)).(Spreader); !ok {
 			t.Fatalf("%s: geommeg.Model does not implement Spreader", name)
 		}
 		for seed := uint64(1); seed <= 3; seed++ {
-			run := func(opt FloodOptions) FloodResult {
-				m := geommeg.MustNew(cfg)
-				m.Reset(rng.New(seed))
-				return FloodOpt(m, int(seed)%cfg.N, DefaultRoundCap(cfg.N), opt)
+			run := func(kernel string, spread bool, p int) FloodResult {
+				var d Dynamics = geommeg.MustNew(cfg)
+				d.Reset(rng.New(seed))
+				if !spread {
+					d = struct{ Dynamics }{d}
+				}
+				return floodPinned(kernel, d, int(seed)%cfg.N, DefaultRoundCap(cfg.N), FloodOptions{Parallelism: p})
 			}
-			ref := run(FloodOptions{Kernel: KernelPush})
-			for variant, opt := range kernelVariants() {
-				for _, p := range []int{1, 2, 8} {
-					opt.Parallelism = p
-					sameResult(t, fmt.Sprintf("%s seed %d %s P%d", name, seed, variant, p), run(opt), ref)
+			ref := run("push", false, 1)
+			for _, p := range []int{1, 2, 8} {
+				sameResult(t, fmt.Sprintf("%s seed %d spread P%d", name, seed, p), run("auto", true, p), ref)
+				for _, kernel := range kernels {
+					sameResult(t, fmt.Sprintf("%s seed %d csr-%s P%d", name, seed, kernel, p), run(kernel, false, p), ref)
 				}
 			}
 		}
@@ -134,16 +134,16 @@ func TestKernelEquivalenceGeom(t *testing.T) {
 }
 
 // TestKernelEquivalenceStaticDense forces the pull kernel onto a dense
-// static snapshot, exercising the one-time DenseRows export path
-// (n ≤ 8192, average degree ≥ 64) against the push kernel.
+// static snapshot (average degree ≥ 64), where most pull probes exit
+// on their first neighbor, against the push kernel.
 func TestKernelEquivalenceStaticDense(t *testing.T) {
 	n := 512
 	g := edgemeg.SampleGNP(n, 0.3, rng.New(7))
 	if g.AvgDegree() < 64 {
-		t.Fatalf("test graph too sparse for the dense-rows gate: avg degree %.1f", g.AvgDegree())
+		t.Fatalf("test graph not dense: avg degree %.1f", g.AvgDegree())
 	}
-	push := FloodOpt(NewStatic(g), 3, DefaultRoundCap(n), FloodOptions{Kernel: KernelPush})
-	pull := FloodOpt(NewStatic(g), 3, DefaultRoundCap(n), FloodOptions{Kernel: KernelPull})
+	push := floodPinned("push", NewStatic(g), 3, DefaultRoundCap(n), FloodOptions{})
+	pull := floodPinned("pull", NewStatic(g), 3, DefaultRoundCap(n), FloodOptions{})
 	sameResult(t, "static-dense", pull, push)
 	if !pull.Completed {
 		t.Fatal("dense static flood should complete")
@@ -154,24 +154,24 @@ func TestKernelEquivalenceStaticDense(t *testing.T) {
 // that hit the round cap (disconnected graph).
 func TestKernelEquivalenceIncomplete(t *testing.T) {
 	g := graph.FromEdges(6, [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}})
-	push := FloodOpt(NewStatic(g), 0, 4, FloodOptions{Kernel: KernelPush})
-	pull := FloodOpt(NewStatic(g), 0, 4, FloodOptions{Kernel: KernelPull})
+	push := floodPinned("push", NewStatic(g), 0, 4, FloodOptions{})
+	pull := floodPinned("pull", NewStatic(g), 0, 4, FloodOptions{})
 	sameResult(t, "incomplete", pull, push)
 	if push.Completed || push.Rounds != 4 {
 		t.Fatalf("expected capped incomplete run, got rounds=%d completed=%v", push.Rounds, push.Completed)
 	}
 }
 
-// TestPullThresholdFor pins the auto switch point derivation.
-// TestAutoPullStaysOnAfterActivation pins KernelAuto's sticky pull. The
-// sequence A, A, B has a dense A (a clique on nodes 0–39, plus the edge
-// 60–61) and a sparse B (0–60 and 1–61 only), so the derived push/pull
-// threshold rises from about a quarter of n to a half between rounds 1
-// and 2. Round 1 pulls and, with the crossover pinned to always, starts
-// the straggler list; on the delta path it also retires the informed
-// rows. Had round 2 switched back to push, it would read the retired
-// rows of 0 and 1 (on the delta path), or leave 60 and 61 in the list
-// for round 3 to count a second time (on the full path).
+// TestAutoPullStaysOnAfterActivation pins the snapshot path's sticky
+// pull. The sequence A, A, B has a dense A (a clique on nodes 0–39,
+// plus the edge 60–61) and a sparse B (0–60 and 1–61 only), so the
+// derived push/pull threshold rises from about a quarter of n to a half
+// between rounds 1 and 2. Round 1 pulls and, with the crossover pinned
+// to always, starts the straggler list; on the delta path it also
+// retires the informed rows. Had round 2 switched back to push, it
+// would read the retired rows of 0 and 1 (on the delta path), or leave
+// 60 and 61 in the list for round 3 to count a second time (on the full
+// path).
 func TestAutoPullStaysOnAfterActivation(t *testing.T) {
 	const n = 100
 	a, b := graph.NewBuilder(n), graph.NewBuilder(n)
@@ -211,6 +211,7 @@ func TestAutoPullStaysOnAfterActivation(t *testing.T) {
 	sameResult(t, "auto/full", FloodOpt(struct{ Dynamics }{d}, 0, 10, FloodOptions{}), want)
 }
 
+// TestPullThresholdFor pins the auto switch point derivation.
 func TestPullThresholdFor(t *testing.T) {
 	if got := pullThresholdFor(100); math.Abs(got-0.1) > 1e-12 {
 		t.Fatalf("pullThresholdFor(100) = %v, want 0.1", got)
@@ -220,25 +221,6 @@ func TestPullThresholdFor(t *testing.T) {
 	}
 	if got := pullThresholdFor(1e9); got != 0.02 {
 		t.Fatalf("pullThresholdFor(1e9) = %v, want clamp 0.02", got)
-	}
-}
-
-// TestParseKernel covers the flag round trip.
-func TestParseKernel(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Kernel
-	}{{"auto", KernelAuto}, {"push", KernelPush}, {"sparse", KernelPush}, {"pull", KernelPull}, {"dense", KernelPull}, {"", KernelAuto}} {
-		got, err := ParseKernel(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseKernel(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParseKernel("bogus"); err == nil {
-		t.Fatal("bogus kernel accepted")
-	}
-	if KernelAuto.String() != "auto" || KernelPush.String() != "push" || KernelPull.String() != "pull" {
-		t.Fatal("kernel labels wrong")
 	}
 }
 

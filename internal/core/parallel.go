@@ -160,63 +160,35 @@ func (e *shardEngine) mergeFrontiers(frontiers [][]uint64, words []uint64, arriv
 // into contiguous shards — word ranges of the complement while the
 // uninformed set is large, ranges of the shrinking active-set list in
 // the straggler regime — each worker testing its own nodes for an
-// informed neighbor (CSR walk, or word-parallel row intersection when
-// rows is non-nil) and recording hits in its shard's newly list. The
+// informed neighbor (CSR walk with first-hit exit) and recording hits
+// in its shard's newly list. The
 // informed set is only read during the scan — hits are applied after
 // the join, in shard order, so discoveries never feed back into the
 // same round (the paper's synchronous semantics) and the result does
 // not depend on the shard count. Both enumerations visit the same nodes
 // ascending (list shards are contiguous slices of an ascending list),
-// so the result is byte-identical either way. With the skip layer armed
-// (see activeSet), each shard walks its slice but probes only marked or
-// churned nodes — the same candidate set for every shard count, since
-// marks and stamps are round-start state.
-func (e *shardEngine) pullRound(g *graph.Graph, rows *graph.DenseRows, informed *bitset.Set, arrival []int32, t int, newly []int32, uninformed int) []int32 {
+// so the result is byte-identical either way.
+func (e *shardEngine) pullRound(g *graph.Graph, informed *bitset.Set, arrival []int32, t int, newly []int32, uninformed int) []int32 {
 	words := informed.MutableWords()
 	n := informed.Len()
 	e.reset()
 	if e.uninf.enabled(words, n, uninformed) {
 		list := e.uninf.nodes
-		if e.uninf.skipping() {
-			marks := e.uninf.marks
-			stamps := e.uninf.stamps
-			var epoch uint32
-			if stamps != nil {
-				epoch = e.uninf.epoch()
+		par.ForBlocks(e.workers, len(list), func(shard, lo, hi int) {
+			out := e.newly[shard][:0]
+			for _, v := range list[lo:hi] {
+				if pullHit(g, words, int(v)) {
+					arrival[v] = int32(t + 1)
+					out = append(out, v)
+				}
 			}
-			par.ForBlocks(e.workers, len(list), func(shard, lo, hi int) {
-				out := e.newly[shard][:0]
-				for _, v := range list[lo:hi] {
-					if !marks[v] && (stamps == nil || stamps[v] != epoch) {
-						continue
-					}
-					marks[v] = false
-					if pullHit(g, rows, words, informed, int(v)) {
-						arrival[v] = int32(t + 1)
-						out = append(out, v)
-					}
-				}
-				e.newly[shard] = out
-			})
-		} else {
-			par.ForBlocks(e.workers, len(list), func(shard, lo, hi int) {
-				out := e.newly[shard][:0]
-				for _, v := range list[lo:hi] {
-					if pullHit(g, rows, words, informed, int(v)) {
-						arrival[v] = int32(t + 1)
-						out = append(out, v)
-					}
-				}
-				e.newly[shard] = out
-			})
-		}
+			e.newly[shard] = out
+		})
 		start := len(newly)
 		newly = e.applyPull(words, newly)
-		e.uninf.markNeighbors(g, newly[start:])
 		if len(newly) > start {
-			// A round with no discoveries leaves the list untouched —
-			// skipping the compaction walk keeps stalled straggler
-			// rounds at O(candidates) instead of O(|list|).
+			// A round with no discoveries leaves the list untouched, so
+			// stalled straggler rounds skip the compaction walk.
 			e.uninf.compact(words)
 		}
 		return newly
@@ -236,7 +208,7 @@ func (e *shardEngine) pullRound(g *graph.Graph, rows *graph.DenseRows, informed 
 				if v >= n {
 					break
 				}
-				if pullHit(g, rows, words, informed, v) {
+				if pullHit(g, words, v) {
 					arrival[v] = int32(t + 1)
 					out = append(out, int32(v))
 				}

@@ -40,24 +40,24 @@ func TestFloodParallelismByteIdentical(t *testing.T) {
 	// dynamics (randomSequence replays identical snapshots to every run).
 	for _, n := range []int{5, 64, 65, 500, 2048} {
 		edgeP := 2.5 / float64(n)
-		for _, kernel := range []Kernel{KernelAuto, KernelPush, KernelPull} {
-			oneShard := FloodOpt(randomSequence(n, 64, edgeP, uint64(n)), 0, DefaultRoundCap(n),
-				FloodOptions{Kernel: kernel, Parallelism: 1})
+		for _, kernel := range kernels {
+			oneShard := floodPinned(kernel, randomSequence(n, 64, edgeP, uint64(n)), 0, DefaultRoundCap(n),
+				FloodOptions{Parallelism: 1})
 			for _, p := range []int{2, 3, 8} {
-				par := FloodOpt(randomSequence(n, 64, edgeP, uint64(n)), 0, DefaultRoundCap(n),
-					FloodOptions{Kernel: kernel, Parallelism: p})
-				floodResultsEqual(t, kernel.String(), oneShard, par)
+				par := floodPinned(kernel, randomSequence(n, 64, edgeP, uint64(n)), 0, DefaultRoundCap(n),
+					FloodOptions{Parallelism: p})
+				floodResultsEqual(t, kernel, oneShard, par)
 			}
 		}
 	}
 }
 
-func TestFloodParallelismOnStaticDenseRows(t *testing.T) {
-	// The static pull path exports dense rows; neither the export nor
-	// the pull scan may depend on the shard count.
+func TestFloodParallelismStaticPull(t *testing.T) {
+	// The pull scan over a dense static snapshot may not depend on the
+	// shard count.
 	g := graph.Complete(300)
-	oneShard := FloodOpt(NewStatic(g), 7, 100, FloodOptions{Kernel: KernelPull, Parallelism: 1})
-	par := FloodOpt(NewStatic(g), 7, 100, FloodOptions{Kernel: KernelPull, Parallelism: 8})
+	oneShard := floodPinned("pull", NewStatic(g), 7, 100, FloodOptions{Parallelism: 1})
+	par := floodPinned("pull", NewStatic(g), 7, 100, FloodOptions{Parallelism: 8})
 	floodResultsEqual(t, "static pull", oneShard, par)
 }
 

@@ -104,8 +104,8 @@ func (s *snapshotter) graphInner() *graph.Graph {
 }
 
 // mutable returns the incrementally maintained snapshot when the delta
-// path is active and has materialized, else nil. Engines use it to
-// read the Mutable's row stamps and to retire rows.
+// path is active and has materialized, else nil. The flooding engine
+// uses it to retire rows.
 func (s *snapshotter) mutable() *graph.Mutable { return s.mut }
 
 // mutablePool recycles the per-run graph.Mutable across engine runs —

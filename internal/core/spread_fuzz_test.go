@@ -10,13 +10,14 @@ import (
 )
 
 // FuzzGeometricSpread checks the snapshot-free flooding path on
-// generated geometric-MEGs: under KernelAuto the model floods through
-// its cell grid (Spreader), and the result must be byte-equal to the
-// pinned push kernel over CSR snapshots of the same realization. The
-// inputs cover node counts from 2 to 2048, radii from sub-threshold to
-// brute-force grids, frozen to long-range walks, the torus, lazy walks,
-// every init mode, the seed and the source. The seed corpus lives in
-// testdata/fuzz/FuzzGeometricSpread and runs under plain go test.
+// generated geometric-MEGs: the model floods through its cell grid
+// (Spreader), and the result must be byte-equal to the pinned push
+// kernel over CSR snapshots of the same realization, reached by hiding
+// Spreader. The inputs cover node counts from 2 to 2048, radii from
+// sub-threshold to brute-force grids, frozen to long-range walks, the
+// torus, lazy walks, every init mode, the seed and the source. The seed
+// corpus lives in testdata/fuzz/FuzzGeometricSpread and runs under
+// plain go test.
 func FuzzGeometricSpread(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nRaw uint16, rMul, move uint8, torus bool, jump, init uint8, seed uint64, source uint16) {
 		n := 2 + int(nRaw)%2047
@@ -37,19 +38,19 @@ func FuzzGeometricSpread(f *testing.F) {
 		}
 		src := int(source) % n
 		maxRounds := min(DefaultRoundCap(n), 256)
-		run := func(opt FloodOptions) FloodResult {
-			m := geommeg.MustNew(cfg)
-			m.Reset(rng.New(seed))
-			return FloodOpt(m, src, maxRounds, opt)
-		}
-		sameResult(t, "spread vs push", run(FloodOptions{}), run(FloodOptions{Kernel: KernelPush}))
+		m := geommeg.MustNew(cfg)
+		m.Reset(rng.New(seed))
+		spread := FloodOpt(m, src, maxRounds, FloodOptions{})
+		m = geommeg.MustNew(cfg)
+		m.Reset(rng.New(seed))
+		sameResult(t, "spread vs push", spread, floodPinned("push", struct{ Dynamics }{m}, src, maxRounds, FloodOptions{}))
 	})
 }
 
 // FuzzMobilitySpread is FuzzGeometricSpread for the mobility processes:
-// a generated mobility.Dynamics floods under KernelAuto through its
-// cell grid (Spreader), and the result must be byte-equal to the pinned
-// push kernel over CSR snapshots of the same realization. The inputs
+// a generated mobility.Dynamics floods through its cell grid
+// (Spreader), and the result must be byte-equal to the pinned push
+// kernel over CSR snapshots of the same realization. The inputs
 // cover all seven processes (the torus ones among them), node counts
 // from 2 to 1024, radii from sub-threshold to a grid coarse enough to
 // be a single cell, slow to fast motion, the worker count, the seed and
@@ -82,11 +83,11 @@ func FuzzMobilitySpread(f *testing.F) {
 		}
 		src := int(source) % n
 		maxRounds := min(DefaultRoundCap(n), 256)
-		run := func(opt FloodOptions) FloodResult {
-			d := mobility.NewDynamics(newMobility(), radius)
-			d.Reset(rng.New(seed))
-			return FloodOpt(d, src, maxRounds, opt)
-		}
-		sameResult(t, "spread vs push", run(FloodOptions{Parallelism: 1 + int(par%3)}), run(FloodOptions{Kernel: KernelPush}))
+		d := mobility.NewDynamics(newMobility(), radius)
+		d.Reset(rng.New(seed))
+		spread := FloodOpt(d, src, maxRounds, FloodOptions{Parallelism: 1 + int(par%3)})
+		d = mobility.NewDynamics(newMobility(), radius)
+		d.Reset(rng.New(seed))
+		sameResult(t, "spread vs push", spread, floodPinned("push", struct{ Dynamics }{d}, src, maxRounds, FloodOptions{}))
 	})
 }

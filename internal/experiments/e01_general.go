@@ -121,7 +121,6 @@ func E1GeneralBound(p Params) *Report {
 				Seed:        rng.SeedFor(p.Seed, n*7+boolInt(c.matching)),
 				Workers:     p.Workers,
 				Parallelism: p.Parallelism,
-				Kernel:      p.Kernel,
 			})
 			ratio := camp.MaxRounds() / bound
 			if ratio > worstRatio {

@@ -55,7 +55,6 @@ func E4GeometricScaling(p Params) *Report {
 			Workers:         p.Workers,
 			Parallelism:     p.Parallelism,
 			MaxRounds:       core.DefaultRoundCap(n),
-			Kernel:          p.Kernel,
 			BatchSources:    true,
 		})
 		sqrtNoverR := math.Sqrt(float64(n)) / radius

@@ -51,7 +51,6 @@ func E5GeometricLower(p Params) *Report {
 			Seed:        rng.SeedFor(p.Seed, 500+i),
 			Workers:     p.Workers,
 			Parallelism: p.Parallelism,
-			Kernel:      p.Kernel,
 		})
 		lower := bounds.GeometricLower(side, radius, moveR)
 		minRounds := camp.Summary.Min

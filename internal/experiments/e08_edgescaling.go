@@ -70,7 +70,6 @@ func E8EdgeScaling(p Params) *Report {
 				Seed:            rng.SeedFor(p.Seed, n*17+len(lw.name)),
 				Workers:         p.Workers,
 				Parallelism:     p.Parallelism,
-				Kernel:          p.Kernel,
 				BatchSources:    true,
 			})
 			lower := math.Log(float64(n)) / math.Log(float64(n)*pHat)
@@ -101,7 +100,6 @@ func E8EdgeScaling(p Params) *Report {
 			Seed:            rng.SeedFor(p.Seed, 9000+int(mult)),
 			Workers:         p.Workers,
 			Parallelism:     p.Parallelism,
-			Kernel:          p.Kernel,
 			BatchSources:    true,
 		})
 		lower := math.Log(float64(nBig)) / math.Log(float64(nBig)*pHat)

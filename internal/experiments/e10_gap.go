@@ -52,11 +52,11 @@ func E10Gap(p Params) *Report {
 
 		campStat := flood.Run(func() core.Dynamics { return edgemeg.MustNew(cfgStat) }, flood.Options{
 			Trials: trials, Seed: rng.SeedFor(p.Seed, 2000+n), Workers: p.Workers, Parallelism: p.Parallelism,
-			MaxRounds: core.DefaultRoundCap(n) * 4, Kernel: p.Kernel,
+			MaxRounds: core.DefaultRoundCap(n) * 4,
 		})
 		campEmpty := flood.Run(func() core.Dynamics { return edgemeg.MustNew(cfgEmpty) }, flood.Options{
 			Trials: trials, Seed: rng.SeedFor(p.Seed, 3000+n), Workers: p.Workers, Parallelism: p.Parallelism,
-			MaxRounds: core.DefaultRoundCap(n) * 4, Kernel: p.Kernel,
+			MaxRounds: core.DefaultRoundCap(n) * 4,
 		})
 		gap := campEmpty.MeanRounds() / campStat.MeanRounds()
 		gaps = append(gaps, gap)

@@ -79,7 +79,6 @@ func E11MobilityModels(p Params) *Report {
 			Seed:        rng.SeedFor(p.Seed, 4000+i),
 			Workers:     p.Workers,
 			Parallelism: p.Parallelism,
-			Kernel:      p.Kernel,
 		})
 		ratio := camp.MeanRounds() / sqrtNoverR
 		ratios = append(ratios, ratio)

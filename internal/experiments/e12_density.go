@@ -43,7 +43,6 @@ func E12Density(p Params) *Report {
 			Seed:        rng.SeedFor(p.Seed, 4400+i),
 			Workers:     p.Workers,
 			Parallelism: p.Parallelism,
-			Kernel:      p.Kernel,
 		})
 		ratio := camp.MeanRounds() / (side / radius)
 		ratios = append(ratios, ratio)

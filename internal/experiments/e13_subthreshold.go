@@ -52,7 +52,6 @@ func E13SubThreshold(p Params) *Report {
 			Workers:     p.Workers,
 			Parallelism: p.Parallelism,
 			MaxRounds:   cap,
-			Kernel:      p.Kernel,
 		})
 		completed := trials - camp.Incomplete
 		if f == 0 {

@@ -98,7 +98,6 @@ func E19Uniformity(p Params) *Report {
 
 		camp := flood.Run(e.factory, flood.Options{
 			Trials: trials, Seed: rng.SeedFor(p.Seed, 1950+i), Workers: p.Workers, Parallelism: p.Parallelism,
-			Kernel: p.Kernel,
 		})
 		ratio := camp.MeanRounds() / x
 		if e.uniform {

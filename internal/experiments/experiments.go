@@ -66,21 +66,16 @@ type Params struct {
 	Scale   Scale
 	Seed    uint64
 	Workers int
-	// Kernel pins the flooding engine's per-round strategy for every
-	// flooding call an experiment makes (default core.KernelAuto).
-	// Kernels are result-equivalent, so this only changes speed — it
-	// exists so megbench can time and cross-check them.
-	Kernel core.Kernel
 	// Parallelism is the intra-trial worker count of the sharded
-	// flooding engine and model snapshot builds (0/1 = serial). Like
-	// Kernel it is result-equivalent: it only changes speed.
+	// flooding engine and model snapshot builds (0/1 = serial). It is
+	// result-equivalent: it only changes speed.
 	Parallelism int
 }
 
 // FloodOptions returns the flooding engine options experiments thread
 // into their core.FloodOpt and flood.Run calls.
 func (p Params) FloodOptions() core.FloodOptions {
-	return core.FloodOptions{Kernel: p.Kernel, Parallelism: p.Parallelism}
+	return core.FloodOptions{Parallelism: p.Parallelism}
 }
 
 // ParamsFromSpec is the spec-driven constructor: it maps an experiment

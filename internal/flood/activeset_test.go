@@ -43,13 +43,12 @@ func TestActiveSetEquivalenceAllModels(t *testing.T) {
 	}
 }
 
-// TestActiveSetEquivalenceDelta covers the skip layer: on the delta
-// path the active set consults the Mutable's row-change stamps and the
-// previous round's frontier to probe only candidate nodes, so every
-// model × Parallelism must still reproduce the complement-scan
-// campaign byte for byte with the list forced on from the first pull
-// round — the regime where skipped probes are most common. The edge
-// spec churns at q = 0.5, so the delta path is forced.
+// TestActiveSetEquivalenceDelta covers the active set on the delta
+// path, where the Mutable retires the informed rows once the list
+// takes over: every model × Parallelism must still reproduce the
+// complement-scan campaign byte for byte with the list forced on from
+// the first pull round. The edge spec churns at q = 0.5, so the delta
+// path is forced.
 func TestActiveSetEquivalenceDelta(t *testing.T) {
 	for _, s := range allModelSpecs(t) {
 		name := s.Model.Name
@@ -98,13 +97,14 @@ func TestActiveSetEquivalenceLossy(t *testing.T) {
 	}
 }
 
-// TestActiveSetDenseRowsDelta covers the delta path on a graph in the
-// static kernel's dense-row regime (n ≤ 8192, avg degree ≥ 64): the
-// delta path pulls by CSR rows there and must reproduce the
-// full-rebuild campaign byte for byte, across several trials so the
-// pooled Mutable is also reused between runs. At 2q·d̄ ≈ 11 the
-// engines would rebuild in full, so the delta path is forced.
-func TestActiveSetDenseRowsDelta(t *testing.T) {
+// TestActiveSetDeltaDenseEdge covers a dense edge-MEG (average degree
+// ≈ 110) on the delta path: with the active set forced on from the
+// first pull round, and at the default crossover, it must reproduce
+// the complement-scan, full-rebuild campaign byte for byte, across
+// several trials so the pooled Mutable is also reused between runs. At
+// 2q·d̄ ≈ 11 the engines would rebuild in full, so the delta path is
+// forced.
+func TestActiveSetDeltaDenseEdge(t *testing.T) {
 	s := spec.Spec{
 		Model:     spec.Model{Name: "edge", N: 1024, PhatMult: 16, Q: 0.05},
 		Trials:    3,
@@ -115,12 +115,14 @@ func TestActiveSetDenseRowsDelta(t *testing.T) {
 	if _, err := s.Canonical(); err != nil {
 		t.Fatal(err)
 	}
-	full := runWithSnapshot(t, s, "full", 1, false)
+	full := runWithActiveSetFrac(t, s, "full", 0, 1)
 	for _, par := range []int{1, 8} {
-		delta := runWithSnapshot(t, s, "delta", par, false)
-		campaignsEqual(t, "dense-rows/delta-vs-full", full, delta)
+		for _, frac := range []float64{1, -1} {
+			delta := runWithActiveSetFrac(t, s, "delta", frac, par)
+			campaignsEqual(t, "dense-edge/delta-vs-full", full, delta)
+		}
 	}
 	if full.Incomplete > 0 {
-		t.Errorf("dense-rows case never completed (vacuous comparison)")
+		t.Errorf("dense-edge case never completed (vacuous comparison)")
 	}
 }

@@ -125,18 +125,28 @@ func TestParallelismZeroMeansSerial(t *testing.T) {
 	campaignsEqual(t, "zero-vs-one", zero, one)
 }
 
-// TestParallelismAcrossKernels pins kernel × parallelism: pinned push
-// and pull kernels must agree with each other under sharding.
+// TestParallelismAcrossKernels pins kernel × parallelism: the pinned
+// push and pull kernels must agree with each other under sharding, and
+// with the geometric model's own cell-grid spread, which hiding its
+// optional interfaces turns off.
 func TestParallelismAcrossKernels(t *testing.T) {
 	s := allModelSpecs(t)[0]
-	var base Campaign
-	for i, kernel := range []core.Kernel{core.KernelPush, core.KernelPull} {
-		s.Engine.Kernel = kernel.String()
-		c := runWithParallelism(t, s, 4, false)
-		if i == 0 {
-			base = c
-			continue
-		}
-		campaignsEqual(t, "push-vs-pull/sharded", base, c)
+	s.Parallelism = 4
+	factory, _, err := s.NewFactory()
+	if err != nil {
+		t.Fatalf("NewFactory: %v", err)
+	}
+	opt, err := OptionsFromSpec(s)
+	if err != nil {
+		t.Fatalf("OptionsFromSpec: %v", err)
+	}
+	base := Run(factory, opt)
+	csr := func() core.Dynamics { return struct{ core.Dynamics }{factory()} }
+	for _, kernel := range []string{"push", "pull"} {
+		c := func() Campaign {
+			defer core.SetKernelForTest(kernel)()
+			return Run(csr, opt)
+		}()
+		campaignsEqual(t, kernel+"-vs-spread/sharded", base, c)
 	}
 }

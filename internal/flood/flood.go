@@ -17,14 +17,10 @@ import (
 
 // OptionsFromSpec is the spec-driven constructor: it maps a canonical
 // simulation spec onto campaign options (trials, sources, round cap,
-// effective seed, kernel tuning). Progress callbacks are left nil for
+// effective seed, source batching). Progress callbacks are left nil for
 // the caller to attach.
 func OptionsFromSpec(s spec.Spec) (Options, error) {
 	c, err := s.Canonical()
-	if err != nil {
-		return Options{}, err
-	}
-	kernel, err := c.Kernel()
 	if err != nil {
 		return Options{}, err
 	}
@@ -39,8 +35,6 @@ func OptionsFromSpec(s spec.Spec) (Options, error) {
 		Seed:            seed,
 		Workers:         c.Workers,
 		Parallelism:     c.Parallelism,
-		Kernel:          kernel,
-		PullThreshold:   c.Engine.PullThreshold,
 		BatchSources:    c.Engine.BatchSources,
 	}, nil
 }
@@ -73,14 +67,6 @@ type Options struct {
 	// typically raise one or the other: many short trials want Workers,
 	// few huge trials want Parallelism.
 	Parallelism int
-	// Kernel selects the flooding engine's per-round strategy
-	// (default core.KernelAuto, the direction-optimizing push/pull
-	// switch). All kernels produce identical results.
-	Kernel core.Kernel
-	// PullThreshold overrides the informed-set fraction at which the
-	// auto kernel switches push→pull; ≤ 0 derives it from the model's
-	// expected degree (see core.FloodOptions).
-	PullThreshold float64
 	// BatchSources runs each trial's sources over ONE shared
 	// realization via core.FloodMulti (bit-parallel, up to 64 sources
 	// per word) instead of resetting the dynamics per source. Roughly
@@ -88,9 +74,7 @@ type Options struct {
 	// coupled through the shared snapshots, which remains a valid
 	// flooding-time estimator for stationary models. With
 	// SourcesPerTrial == 1 the batched and unbatched paths are
-	// bit-identical. Batching applies only with the default
-	// KernelAuto: pinning Kernel forces the per-source path so the
-	// pinned kernel is actually the code that runs.
+	// bit-identical.
 	BatchSources bool
 	// OnRound, if non-nil, is called after every flooding round with
 	// the trial index, round number, and informed count — the feed for
@@ -109,15 +93,6 @@ type Options struct {
 	// a distinct hook per trial (or nil to skip one). Hooks observe
 	// only: campaign results are byte-identical with and without them.
 	Hook func(trial int) core.PhaseHook
-}
-
-// batched reports whether the batched multi-source path applies.
-func (o Options) batched() bool {
-	return o.BatchSources && o.Kernel == core.KernelAuto
-}
-
-func (o Options) floodOptions() core.FloodOptions {
-	return core.FloodOptions{Kernel: o.Kernel, PullThreshold: o.PullThreshold, Parallelism: o.Parallelism}
 }
 
 func (o Options) withDefaults(n int) Options {
@@ -203,16 +178,13 @@ func RunContext(ctx context.Context, factory Factory, opt Options) (Campaign, er
 			hook = opt.Hook(rep)
 		}
 		var res core.FloodResult
-		if opt.batched() {
+		if opt.BatchSources {
 			d.Reset(r.Split())
 			res = core.WorstResult(core.FloodMultiOpt(d, sources, opt.MaxRounds,
 				core.MultiOptions{Parallelism: opt.Parallelism, Stop: stop, Progress: progress, Hook: hook}))
 		} else {
-			fo := opt.floodOptions()
-			fo.Stop = stop
-			fo.Progress = progress
-			fo.Hook = hook
-			res = core.FloodingTimeOpt(d, sources, opt.MaxRounds, r, fo)
+			res = core.FloodingTimeOpt(d, sources, opt.MaxRounds, r,
+				core.FloodOptions{Parallelism: opt.Parallelism, Stop: stop, Progress: progress, Hook: hook})
 		}
 		t := Trial{Result: res, RoundsToHalf: res.RoundsToHalf(n)}
 		if opt.OnTrialDone != nil && ctx.Err() == nil {

@@ -272,7 +272,7 @@ func TestOptionsFromSpec(t *testing.T) {
 	if opt.Trials != 4 || opt.SourcesPerTrial != 2 || opt.Seed != 9 {
 		t.Fatalf("campaign fields wrong: %+v", opt)
 	}
-	if opt.Kernel != core.KernelPush || opt.PullThreshold != 0.3 || !opt.BatchSources {
+	if !opt.BatchSources {
 		t.Fatalf("engine fields wrong: %+v", opt)
 	}
 	if opt.MaxRounds != core.DefaultRoundCap(64) {

@@ -150,23 +150,6 @@ func (m *Mutable) Retire(done *bitset.Set) {
 	m.done = done
 }
 
-// RowStamps exposes the per-row epoch stamps: row u was touched by the
-// most recent non-empty ApplyDelta iff RowStamps()[u] == Epoch(), for
-// every u outside the retired set (retired rows are never stamped). The
-// test is conservative in the safe direction — after an empty apply
-// (which changes nothing and leaves the epoch alone), after Reset, and
-// before the first apply it may report rows changed that were not, but
-// it never misses a row the last apply rebuilt. Kernels use the pair to
-// skip re-examining nodes whose neighborhood provably did not change
-// between rounds, comparing stamps inline instead of paying a call per
-// node. The slice is valid until the next Reset; Epoch must be re-read
-// after every ApplyDelta.
-func (m *Mutable) RowStamps() []uint32 { return m.touched }
-
-// Epoch returns the stamp value identifying rows touched by the most
-// recent non-empty ApplyDelta; see RowStamps.
-func (m *Mutable) Epoch() uint32 { return m.epoch }
-
 // ApplyDelta advances the snapshot G_t → G_{t+1}: deaths are removed
 // and births inserted, and only the adjacency rows incident to the
 // delta are rebuilt — in parallel over dirty rows on up to workers

@@ -124,19 +124,3 @@ func TestAddEdgesBulkValidates(t *testing.T) {
 		}()
 	}
 }
-
-func TestDenseRowsParallelByteIdentical(t *testing.T) {
-	g := randomBuilder(500, 4000, 13).Build()
-	want := NewDenseRows(g, 1)
-	for _, workers := range []int{1, 2, 8} {
-		got := NewDenseRows(g, workers)
-		if len(want.words) != len(got.words) {
-			t.Fatalf("workers=%d: word counts differ", workers)
-		}
-		for i := range want.words {
-			if want.words[i] != got.words[i] {
-				t.Fatalf("workers=%d: word %d differs", workers, i)
-			}
-		}
-	}
-}

@@ -514,8 +514,8 @@ func (s *Scheduler) Cancel(id string) bool {
 	queued := j.status == StatusQueued
 	j.mu.Unlock()
 	if queued {
-		j.finish(StatusCanceled, nil, "")
 		s.detach(j)
+		j.finish(StatusCanceled, nil, "")
 		s.retire(j)
 		s.notifier.dispatch(j)
 	}
@@ -587,8 +587,9 @@ func (s *Scheduler) execute(j *Job) (res *Result, err error) {
 }
 
 // runJob executes one job end to end: run the spec, marshal the
-// result, populate the cache, finish the job, release the
-// single-flight slot.
+// result, populate the cache, release the single-flight slot, finish
+// the job. The slot goes first, so a resubmission made after the job
+// reports done finds the cache entry instead of the finished job.
 func (s *Scheduler) runJob(j *Job) {
 	s.metrics.jobDequeued(j.shard)
 	j.mu.Lock()
@@ -622,9 +623,9 @@ func (s *Scheduler) runJob(j *Job) {
 			s.cache.Put(j.Hash, data)
 		}
 	}
+	s.detach(j)
 	j.finish(status, data, errMsg)
 	j.cancel() // release the context's resources
-	s.detach(j)
 	s.retire(j)
 	s.notifier.dispatch(j)
 }

@@ -381,3 +381,33 @@ func (sweepPanicRunner) Execute(ctx context.Context, s spec.Spec, sink func(Even
 	})
 	return &Result{}, err
 }
+
+// instantRunner finishes every job at once with an empty result, so a
+// test can cycle through jobs faster than real simulations allow.
+type instantRunner struct{}
+
+func (instantRunner) Execute(context.Context, spec.Spec, func(Event)) (*Result, error) {
+	return &Result{}, nil
+}
+
+// TestResubmitAfterDoneIsCached pins the single-flight release order:
+// a job leaves the single-flight index before it reports done, so a
+// resubmission made once Done has closed is served from the cache and
+// never coalesces onto the finished job.
+func TestResubmitAfterDoneIsCached(t *testing.T) {
+	cache, _ := NewCache(0, "")
+	sched := NewScheduler(1, 16, instantRunner{}, cache)
+	defer sched.Close()
+	for i := 0; i < 5000; i++ {
+		s := testSpec(64)
+		s.Seed = uint64(i + 1)
+		j, _, err := sched.Submit(s)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		waitDone(t, j)
+		if _, outcome, err := sched.Submit(s); err != nil || outcome != OutcomeCached {
+			t.Fatalf("iteration %d: resubmit outcome = %s (err %v), want cached", i, outcome, err)
+		}
+	}
+}

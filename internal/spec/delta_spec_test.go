@@ -126,3 +126,45 @@ func TestAlgoRevisionFieldsAreInert(t *testing.T) {
 		t.Fatalf("canonicalization kept supplied revisions: %d/%d", b.ModelAlgo, b.ProtoAlgo)
 	}
 }
+
+// TestKernelHintsIgnored pins the retired engine.kernel and
+// engine.pullThreshold hints: any value parses, canonicalization writes
+// "auto" and 0 (the values every existing flooding hash was taken
+// with), and the hash equals that of the same spec without the hints.
+func TestKernelHintsIgnored(t *testing.T) {
+	for _, tc := range []struct{ plain, hinted string }{
+		{`{"model":{"name":"edge","n":128}}`,
+			`{"model":{"name":"edge","n":128},"engine":{"kernel":"push"}}`},
+		{`{"model":{"name":"edge","n":128}}`,
+			`{"model":{"name":"edge","n":128},"engine":{"kernel":"pull","pullThreshold":0.3}}`},
+		{`{"model":{"name":"geometric","n":128}}`,
+			`{"model":{"name":"geometric","n":128},"engine":{"kernel":"sideways","pullThreshold":-2}}`},
+		{`{"model":{"name":"edge","n":128},"engine":{"batchSources":true}}`,
+			`{"model":{"name":"edge","n":128},"engine":{"batchSources":true,"kernel":"pull","pullThreshold":0.3}}`},
+		{`{"model":{"name":"edge","n":128},"protocol":{"name":"push"}}`,
+			`{"model":{"name":"edge","n":128},"protocol":{"name":"push"},"engine":{"kernel":"push"}}`},
+	} {
+		want, err := Parse([]byte(tc.plain))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.plain, err)
+		}
+		got, err := Parse([]byte(tc.hinted))
+		if err != nil {
+			t.Fatalf("%s rejected: %v", tc.hinted, err)
+		}
+		if got.Engine.Kernel != want.Engine.Kernel || got.Engine.PullThreshold != 0 {
+			t.Errorf("%s canonicalized to %+v, want %+v", tc.hinted, got.Engine, want.Engine)
+		}
+		hw, _ := want.Hash()
+		if hg, _ := got.Hash(); hg != hw {
+			t.Errorf("%s moved the hash", tc.hinted)
+		}
+	}
+	cj, err := Spec{Model: Model{Name: "edge", N: 128}}.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(cj), `"engine":{"kernel":"auto"}`) {
+		t.Fatalf("hash view lost the engine bytes existing hashes cover: %s", cj)
+	}
+}

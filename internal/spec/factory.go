@@ -112,13 +112,3 @@ func (s Spec) NewProtocol() (protocol.Protocol, error) {
 	}
 	return protocol.ByName(c.Protocol.Name, c.Protocol.Beta, c.Protocol.Loss)
 }
-
-// Kernel returns the parsed engine kernel (KernelAuto for non-flooding
-// protocols, whose Engine is zeroed).
-func (s Spec) Kernel() (core.Kernel, error) {
-	c, err := s.Canonical()
-	if err != nil {
-		return core.KernelAuto, err
-	}
-	return core.ParseKernel(c.Engine.Kernel)
-}

@@ -119,13 +119,17 @@ type Protocol struct {
 // Engine tunes the flooding engine. Only the flooding protocol consumes
 // it; it is zeroed for the others.
 type Engine struct {
-	// Kernel is auto|push|pull (default auto).
+	// Kernel once pinned the flooding kernel (auto|push|pull). It is a
+	// retired hint: accepted with any value so older specs still parse,
+	// ignored, and canonicalized to "auto" for flooding, the value every
+	// existing hash was taken with. The engine chooses its kernel
+	// itself, with identical results.
 	Kernel string `json:"kernel,omitempty"`
-	// PullThreshold overrides the push→pull switch fraction (0 = derive).
+	// PullThreshold once moved the push→pull switch. Like Kernel it is
+	// retired: accepted with any value, ignored, and zeroed.
 	PullThreshold float64 `json:"pullThreshold,omitempty"`
 	// BatchSources runs each trial's sources bit-parallel over one
-	// shared realization (core.FloodMulti). Effective only with the
-	// auto kernel.
+	// shared realization (core.FloodMulti).
 	BatchSources bool `json:"batchSources,omitempty"`
 }
 
@@ -367,16 +371,8 @@ func (s Spec) Canonical() (Spec, error) {
 	}
 
 	if p.Name == "flooding" {
-		e := &s.Engine
-		if e.Kernel == "" {
-			e.Kernel = "auto"
-		}
-		if _, err := core.ParseKernel(e.Kernel); err != nil {
-			return Spec{}, fmt.Errorf("spec: %w", err)
-		}
-		if e.PullThreshold < 0 {
-			return Spec{}, fmt.Errorf("spec: pullThreshold %g must be non-negative", e.PullThreshold)
-		}
+		// The retired hints keep the values every hash was taken with.
+		s.Engine.Kernel, s.Engine.PullThreshold = "auto", 0
 	} else {
 		// Only the flooding protocol runs on the optimized engine.
 		s.Engine = Engine{}

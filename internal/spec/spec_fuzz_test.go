@@ -12,11 +12,12 @@ import (
 //   - canonical JSON is a fixed point: Parse(CanonicalJSON(s)) succeeds
 //     and yields the same canonical JSON and hash;
 //   - the execution hints — workers, parallelism, receivers, and the
-//     retired snapshot and protocolEngine — never move the hash: the
-//     spec with the fuzzed hint values hashes as the spec without them.
+//     retired snapshot, protocolEngine, engine.kernel and
+//     engine.pullThreshold — never move the hash: the spec with the
+//     fuzzed hint values hashes as the spec without them.
 //
-// The seeds are the spec strings perfbench runs and a spec in the
-// older style that still carries both retired hints.
+// The seeds are the spec strings perfbench runs and specs in the older
+// styles that still carry the retired hints.
 func FuzzSpec(f *testing.F) {
 	for _, s := range []string{
 		`{"model":{"name":"geometric","n":4096},"trials":1,"sources":1,"workers":1,"parallelism":1,"snapshot":"full"}`,
@@ -27,10 +28,14 @@ func FuzzSpec(f *testing.F) {
 		`{"model":{"name":"geometric","n":256},"protocol":{"name":"push-pull"},"trials":4,"seed":3,"workers":1,"parallelism":1}`,
 		`{"model":{"name":"edge","n":256,"q":0.05},"protocol":{"name":"lossy","loss":0.2},"protocolEngine":"reference","snapshot":"delta","seedPolicy":"content"}`,
 		`{"experiment":"E16","scale":"quick","protocolEngine":"reference","snapshot":"full"}`,
+		`{"model":{"name":"edge","n":1024},"engine":{"kernel":"push"},"trials":4,"seed":3}`,
+		`{"model":{"name":"geometric","n":512},"engine":{"kernel":"pull","pullThreshold":0.3},"trials":4,"seed":3}`,
+		`{"model":{"name":"edge","n":1024,"q":0.002},"engine":{"kernel":"push","pullThreshold":0.3,"batchSources":true},"sources":8}`,
+		`{"model":{"name":"torus","n":512},"engine":{"kernel":"pull","batchSources":true},"sources":4,"snapshot":"delta"}`,
 	} {
-		f.Add([]byte(s), uint8(3), int8(-1), "delta", uint8(2))
+		f.Add([]byte(s), uint8(3), int8(-1), "delta", 0.3, uint8(2))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, workers uint8, par int8, hint string, receivers uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, workers uint8, par int8, hint string, thresh float64, receivers uint8) {
 		s, err := Parse(data)
 		if err != nil {
 			return
@@ -63,6 +68,8 @@ func FuzzSpec(f *testing.F) {
 		hinted.Parallelism = max(int(par), -1)
 		hinted.Snapshot = hint
 		hinted.ProtocolEngine = hint
+		hinted.Engine.Kernel = hint
+		hinted.Engine.PullThreshold = thresh
 		hinted.Receivers = nil
 		for i := 0; i < int(receivers)%(maxReceivers+1); i++ {
 			hinted.Receivers = append(hinted.Receivers, "http://hooks.example/job")

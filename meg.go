@@ -60,39 +60,19 @@ type RNG = rng.RNG
 // NewRNG returns a deterministic generator for the given seed.
 func NewRNG(seed uint64) *RNG { return rng.New(seed) }
 
-// Kernel selects the flooding engine's per-round strategy; all kernels
-// compute exactly the same FloodResult, so the choice is purely a
-// performance knob.
-type Kernel = core.Kernel
-
-// Kernel values: KernelAuto is the direction-optimizing default — push
-// (scan informed senders' adjacency lists) while the informed set is
-// small, pull (each uninformed node checks word-parallel for an
-// informed neighbor) once it exceeds the switch threshold. KernelPush
-// and KernelPull pin one strategy.
-const (
-	KernelAuto = core.KernelAuto
-	KernelPush = core.KernelPush
-	KernelPull = core.KernelPull
-)
-
-// FloodOptions tunes the flooding engine. The zero value (KernelAuto
-// with a derived push→pull threshold) is right almost always: the
-// switch point defaults to an informed-set fraction of 1/√d̄ for
-// expected degree d̄, clamped to [0.02, 0.5] — the fraction at which
-// the two kernels' expected per-round costs balance. The estimate d̄
-// comes from the model when it knows its stationary degree
-// (core.DegreeHinter), else from each snapshot. Set PullThreshold to
-// move the switch point, Kernel to pin a strategy outright, or
-// Parallelism to run the sharded engine — results are byte-identical
-// for every worker count. Under KernelAuto the geometric models flood
-// without snapshots: each round asks "is an informed node within R?"
-// of the cell grid the model rebuilds anyway, so PullThreshold is
-// ignored there. Pin KernelPush or KernelPull to run the snapshot
-// kernels; results are byte-identical either way. There is no snapshot
-// option: the engines maintain a DeltaDynamics' snapshots
+// FloodOptions carries the flooding engine's worker count and run
+// callbacks; Parallelism runs the sharded engine, with results
+// byte-identical for every worker count. The engine has no path
+// options. The geometric models flood without snapshots: each round
+// asks "is an informed node within R?" of the cell grid the model
+// rebuilds anyway. Every other model floods its snapshots by push while
+// the informed set is small and by pull once it passes 1/√d̄ of n
+// (clamped to [0.02, 0.5]), the fraction at which the two kernels'
+// expected per-round costs balance, with d̄ from the model when it
+// knows its stationary degree (core.DegreeHinter), else from each
+// snapshot. The engines maintain a DeltaDynamics' snapshots
 // incrementally when its expected churn is low and rebuild them
-// otherwise (see DeltaDynamics).
+// otherwise (see DeltaDynamics). Every path computes the same result.
 type FloodOptions = core.FloodOptions
 
 // MultiOptions tunes FloodMultiOpt (cancellation, progress, and the
@@ -132,8 +112,8 @@ func Flood(d Dynamics, source, maxRounds int) FloodResult {
 	return core.Flood(d, source, maxRounds)
 }
 
-// FloodOpt is Flood with explicit engine options (kernel selection and
-// push→pull switch threshold); see core.FloodOpt.
+// FloodOpt is Flood with explicit options (worker count, cancellation,
+// progress, phase hook); see core.FloodOpt.
 func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 	return core.FloodOpt(d, source, maxRounds, opt)
 }
