@@ -13,7 +13,7 @@ import (
 // runSuite executes the benchmark trajectory suite and writes
 // BENCH_<git-sha>.json into outDir. The process exits non-zero when a
 // scenario's sharded variant diverges from its serial one (the same
-// engine on one shard, or the reference/full-rebuild baseline) on the
+// engine on one shard, or the full-rebuild baseline) on the
 // same seeds — the file is still written first, so CI can upload the
 // evidence alongside the failure. With compareDir set, the run is also
 // diffed against the newest BENCH file there (the bench/history

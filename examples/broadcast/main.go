@@ -17,9 +17,6 @@ import (
 	"os"
 
 	"meg"
-	"meg/internal/core"
-	"meg/internal/protocol"
-	"meg/internal/rng"
 	"meg/internal/stats"
 	"meg/internal/table"
 )
@@ -30,33 +27,39 @@ func main() {
 	radius := 2 * math.Sqrt(math.Log(float64(n)))
 	cfg := meg.GeometricConfig{N: n, R: radius, MoveRadius: radius / 2}
 
-	protocols := []meg.Protocol{
-		protocol.Flooding{},
-		protocol.Probabilistic{Beta: 0.8},
-		protocol.Probabilistic{Beta: 0.5},
-		protocol.PushGossip{},
-		protocol.PushPull{},
-		protocol.LossyFlooding{Loss: 0.5},
+	// Flooding is lossy flooding with no loss: every informed node
+	// transmits to all its current neighbors each round.
+	protocols := []struct {
+		label string
+		proto meg.GossipProtocol
+		opt   meg.GossipOptions
+	}{
+		{"flooding", meg.GossipLossyFlood, meg.GossipOptions{}},
+		{"prob-flood(β=0.80)", meg.GossipProbFlood, meg.GossipOptions{Beta: 0.8}},
+		{"prob-flood(β=0.50)", meg.GossipProbFlood, meg.GossipOptions{Beta: 0.5}},
+		{"push-gossip", meg.GossipPush, meg.GossipOptions{}},
+		{"push-pull", meg.GossipPushPull, meg.GossipOptions{}},
+		{"lossy-flood(f=0.50)", meg.GossipLossyFlood, meg.GossipOptions{Loss: 0.5}},
 	}
 
 	fmt.Printf("mobile mesh: n=%d, R=%.2f, node speed %.2f\n\n", n, radius, radius/2)
 	tbl := table.New("broadcast protocol menu (mean over trials, stationary starts)",
 		"protocol", "success", "rounds", "messages", "msgs/node")
-	base := rng.New(2024)
+	base := meg.NewRNG(2024)
 	for _, p := range protocols {
 		success := 0
 		var rounds, msgs stats.Accumulator
 		for i := 0; i < trials; i++ {
 			model := meg.NewGeometric(cfg)
 			model.Reset(base.Split())
-			res := p.Run(model, i%n, core.DefaultRoundCap(n), base.Split())
+			res := meg.Gossip(model, p.proto, i%n, meg.DefaultRoundCap(n), base.Split(), p.opt)
 			if res.Completed {
 				success++
 				rounds.Add(float64(res.Rounds))
 			}
 			msgs.Add(float64(res.Messages))
 		}
-		tbl.AddRow(p.Name(), success, rounds.Mean(), msgs.Mean(), msgs.Mean()/n)
+		tbl.AddRow(p.label, success, rounds.Mean(), msgs.Mean(), msgs.Mean()/n)
 	}
 	if err := tbl.WriteText(os.Stdout); err != nil {
 		panic(err)

@@ -59,11 +59,10 @@ type Scenario struct {
 // sizes (the scaling axis the paper's Θ(√n/R) bound lives on), sparse
 // and dense edge-MEGs (the Θ(log n/log np̂) axis), a batched 64-source
 // geometric run (the bit-parallel estimator), and the gossip-family
-// protocols (push, push-pull, lossy) — for those the serial baseline is
-// the per-node reference implementation and the sharded run is the
-// bitset kernel engine on every worker, so the speedup column records
-// the protocol engine's gain and the checksum gate doubles as the
-// reference-vs-kernel equivalence check.
+// protocols (push, push-pull, lossy) — for those, as for flooding, the
+// serial baseline is the gossip engine on one shard and the sharded run
+// the same engine on every worker. The oracle check against the
+// per-node reference implementation lives in the tests.
 func Suite() []Scenario {
 	geom := func(n int) spec.Spec {
 		return spec.Spec{
@@ -123,9 +122,9 @@ func Suite() []Scenario {
 		{Name: "edge-sparse-64k", Note: "edge-MEG n=65536, p̂ = 2·log n/n (near-threshold sparse)", Spec: edge(65536, 2)},
 		{Name: "edge-dense-16k", Note: "edge-MEG n=16384, p̂ = 16·log n/n (dense churn)", Spec: edge(16384, 16)},
 		{Name: "multi64-geom-64k", Note: "geometric-MEG n=65536, 64 sources batched bit-parallel", Spec: multi},
-		{Name: "proto-push-geom-16k", Note: "push gossip on geometric-MEG n=16384: reference vs sharded kernel", Spec: proto(geom(16384), spec.Protocol{Name: "push"})},
-		{Name: "proto-pushpull-edge-16k", Note: "push-pull gossip on edge-MEG n=16384: reference vs sharded kernel", Spec: proto(edge(16384, 4), spec.Protocol{Name: "push-pull"})},
-		{Name: "proto-lossy-geom-16k", Note: "lossy flooding (f=0.2) on geometric-MEG n=16384: reference vs sharded kernel", Spec: proto(geom(16384), spec.Protocol{Name: "lossy", Loss: 0.2})},
+		{Name: "proto-push-geom-16k", Note: "push gossip on geometric-MEG n=16384: gossip engine on one shard vs every worker", Spec: proto(geom(16384), spec.Protocol{Name: "push"})},
+		{Name: "proto-pushpull-edge-16k", Note: "push-pull gossip on edge-MEG n=16384: gossip engine on one shard vs every worker", Spec: proto(edge(16384, 4), spec.Protocol{Name: "push-pull"})},
+		{Name: "proto-lossy-geom-16k", Note: "lossy flooding (f=0.2) on geometric-MEG n=16384: gossip engine on one shard vs every worker", Spec: proto(geom(16384), spec.Protocol{Name: "lossy", Loss: 0.2})},
 		{Name: "delta-edge-64k-lowchurn", Note: "edge-MEG n=65536, p̂=0.5·log n/n, q=0.002 — sub-threshold low churn over a fixed 400-round horizon: full rebuild vs incremental delta", Spec: lowchurn, DeltaVsFull: true},
 		{Name: "delta-geom-64k-smallrho", Note: "lazy geometric-MEG n=65536, r=0.2R, jump=0.01 — ~1% of nodes move per round; both variants flood snapshot-free through the cell grid, so the speedup reads ≈1× and the checksum gate compares two spread runs", Spec: smallrho, DeltaVsFull: true},
 		{Name: "flood-geom-64k-straggler", Note: "sub-threshold lazy geometric-MEG n=65536, R=0.89·R_c, jump=0.005, fixed 400-round horizon — a third of the rounds chase <1% uninformed stragglers; both variants flood snapshot-free through the cell grid, so the speedup reads ≈1×", Spec: straggler(65536, 400)},
@@ -138,10 +137,6 @@ type Variant struct {
 	// Variant is "serial" (Parallelism 1: the engine on one shard) or
 	// "sharded" (the same engine on every worker).
 	Variant string `json:"variant"`
-	// Engine identifies the implementation for protocol scenarios:
-	// "reference" (serial baseline) or "kernel" (sharded run). Empty for
-	// flooding scenarios.
-	Engine string `json:"engine,omitempty"`
 	// Snapshot identifies the snapshot path for delta scenarios:
 	// "full" (serial baseline) or "delta" (sharded run). Empty
 	// elsewhere.
@@ -311,11 +306,8 @@ func RunScenarios(scenarios []Scenario, opts Options) (*File, error) {
 }
 
 // runVariant executes one (scenario, parallelism) pair and measures it.
-// Flooding scenarios time the flooding engine on one shard vs on every
-// worker; for
-// gossip-family protocol scenarios the serial baseline runs the
-// internal/protocol reference implementation and the sharded run the
-// bitset kernel engine; for delta scenarios the serial baseline pins
+// Flooding and gossip-family protocol scenarios time their engine on
+// one shard vs on every worker; for delta scenarios the serial baseline pins
 // the full per-round snapshot rebuild and the sharded run takes the
 // path the engines choose, the incremental delta path on low churn —
 // byte-identical by contract in every case, so the shared checksum
@@ -406,8 +398,7 @@ func stragglerRounds(traj []int, n int) int {
 // attachTelemetry installs a per-trial phase-recorder factory through
 // set (which assigns it to the options' Hook field) and returns a
 // closure that merges every trial's totals — called after the campaign,
-// when all trial goroutines have finished. The reference protocol
-// engine has no phase structure, so its variants report zero rounds.
+// when all trial goroutines have finished.
 func attachTelemetry(set func(func(trial int) core.PhaseHook)) func() *metrics.PhaseTotals {
 	var mu sync.Mutex
 	var recs []*metrics.PhaseRecorder
@@ -456,13 +447,9 @@ func (v *Variant) finishRates() {
 	}
 }
 
-// runProtocolVariant measures a gossip-family scenario: the serial
-// variant pins the reference engine, the sharded variant the kernel.
+// runProtocolVariant measures a gossip-family scenario on the gossip
+// engine at the given parallelism.
 func runProtocolVariant(c spec.Spec, variant string, parallelism int, telemetry bool) (Variant, error) {
-	engine := flood.EngineKernel
-	if variant == "serial" {
-		engine = flood.EngineReference
-	}
 	factory, _, err := c.NewFactory()
 	if err != nil {
 		return Variant{}, err
@@ -471,7 +458,6 @@ func runProtocolVariant(c spec.Spec, variant string, parallelism int, telemetry 
 	if err != nil {
 		return Variant{}, err
 	}
-	opt.Engine = engine
 	var collect func() *metrics.PhaseTotals
 	if telemetry {
 		collect = attachTelemetry(func(h func(int) core.PhaseHook) { opt.Hook = h })
@@ -482,7 +468,6 @@ func runProtocolVariant(c spec.Spec, variant string, parallelism int, telemetry 
 		v.Telemetry = collect()
 	}
 	v.Variant = variant
-	v.Engine = engine
 	v.Parallelism = parallelism
 	v.Completed = camp.Incomplete == 0
 	v.Checksum = protocolChecksum(camp)
@@ -524,10 +509,11 @@ func checksum(camp flood.Campaign) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// protocolChecksum fingerprints a protocol campaign over the fields
-// both engines produce — source, rounds, completion, trajectory, and
-// message totals (the reference engine computes no arrival arrays) —
-// so reference-vs-kernel divergence fails the suite.
+// protocolChecksum fingerprints a protocol campaign over the fields the
+// per-node reference implementation also produces — source, rounds,
+// completion, trajectory, and message totals, no arrival arrays — so
+// the same fingerprint compares the engine against that oracle in
+// tests and serial against sharded in the suite.
 func protocolChecksum(camp flood.ProtocolCampaign) string {
 	h := fnv.New64a()
 	var buf [8]byte

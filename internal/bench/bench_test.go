@@ -107,8 +107,8 @@ func TestSuiteSpecsAreValid(t *testing.T) {
 }
 
 func TestRunProtocolScenario(t *testing.T) {
-	// A gossip scenario times the reference engine serially against the
-	// sharded kernel — identical checksums, engine labels recorded.
+	// A gossip scenario times the gossip engine on one shard against
+	// every worker — identical checksums.
 	scenarios := []Scenario{{
 		Name: "tiny-proto",
 		Note: "t",
@@ -125,10 +125,7 @@ func TestRunProtocolScenario(t *testing.T) {
 	}
 	r := f.Results[0]
 	if !r.Identical {
-		t.Fatalf("reference and kernel engines diverged: %+v", r.Variants)
-	}
-	if r.Variants[0].Engine != "reference" || r.Variants[1].Engine != "kernel" {
-		t.Fatalf("engine labels wrong: %q/%q", r.Variants[0].Engine, r.Variants[1].Engine)
+		t.Fatalf("serial and sharded gossip runs diverged: %+v", r.Variants)
 	}
 	for _, v := range r.Variants {
 		if v.Rounds <= 0 || !v.Completed || v.WallNS <= 0 {

@@ -302,7 +302,9 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 				arrival[v] = int32(t + 1)
 			}
 		} else if pull {
-			newly = eng.pullRound(g, informed, arrival, t, newly, n-len(senders))
+			newly = eng.receiverRound(informed, arrival, t, newly, n-len(senders), func(words []uint64, v int) bool {
+				return pullHit(g, words, v)
+			})
 		} else {
 			newly = eng.pushRound(g, senders, informed, arrival, t, newly)
 		}

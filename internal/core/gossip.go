@@ -76,10 +76,9 @@ type GossipOptions struct {
 	// Parallelism is the intra-run worker count of the sharded engine
 	// (0 or 1 = one shard, < 0 = all CPUs). Because every random
 	// decision is keyed by (node, round) — never by iteration order —
-	// the GossipResult is byte-identical for every value and matches
-	// the reference implementations in internal/protocol on the same
-	// seeds. A Parallelizable dynamics receives the same worker count
-	// for its snapshot builds.
+	// the GossipResult is byte-identical for every value. A
+	// Parallelizable dynamics receives the same worker count for its
+	// snapshot builds.
 	Parallelism int
 	// Stop, if non-nil, is polled once per round; when it returns true
 	// the run aborts with Completed == false and Rounds set to the cap,
@@ -96,11 +95,11 @@ type GossipOptions struct {
 	Hook PhaseHook
 }
 
-// GossipResult records one protocol run on the gossip engine. It is a
-// superset of the reference protocol.Result: Rounds, Completed,
-// Trajectory and Messages carry the exact semantics of the reference
-// implementations, plus the final informed set and per-node arrival
-// times the bitset engine computes for free.
+// GossipResult records one protocol run on the gossip engine: Rounds,
+// Completed, Trajectory and Messages, plus the final informed set and
+// per-node arrival times the bitset engine computes for free. The
+// first four must equal those of the per-node oracle in
+// internal/protocol, which only tests import.
 type GossipResult struct {
 	// Source is the initiator node.
 	Source int
@@ -132,21 +131,23 @@ func (r GossipResult) RoundsToHalf(n int) int {
 }
 
 // Gossip runs the selected protocol from source on d for at most
-// maxRounds rounds — the engine-grade counterpart of the reference
-// implementations in internal/protocol, built on the same bitset
-// frontiers and shard-parallel phases as the flooding engine.
+// maxRounds rounds, built on the same bitset frontiers and
+// shard-parallel phases as the flooding engine. It is the only gossip
+// engine in production; the per-node implementations in
+// internal/protocol are its test oracle. GossipLossyFlood with Loss 0
+// is flooding with message accounting (Σ deg over informed nodes per
+// round).
 //
 // Randomness: one word is consumed from r to derive the run's stream
 // base; the decision of node v in round t is then drawn from
 // rng.At(base, v, t). Decisions are pure functions of (node, round), so
-// the result is byte-identical for every Parallelism value and byte-
-// identical to the internal/protocol reference on the same seeds (the
-// reference consumes exactly one word of r too).
+// the result is byte-identical for every Parallelism value and to the
+// oracle on the same seeds.
 //
 // Gossip does not Reset d: the caller controls the initial
-// distribution. Like the reference, the chain advances only between
-// evaluated rounds — completion is checked before Step, so the final
-// snapshot is never resampled for nothing.
+// distribution. The chain advances only between evaluated rounds —
+// completion is checked before Step, so the final snapshot is never
+// resampled for nothing.
 func Gossip(d Dynamics, proto GossipProtocol, source, maxRounds int, r *rng.RNG, opt GossipOptions) GossipResult {
 	n := d.N()
 	if source < 0 || source >= n {
@@ -224,12 +225,16 @@ func Gossip(d Dynamics, proto GossipProtocol, source, maxRounds int, r *rng.RNG,
 			newly = eng.pushRound(g, active, informed, arrival, t, newly)
 		case GossipLossyFlood:
 			res.Messages += degreeSum(g, senders)
-			newly = eng.lossyRound(g, informed, arrival, base, t, opt.Loss, newly, n-count)
+			// Receiver-driven: every uninformed node scans its
+			// adjacency for informed neighbors, drawing the fate of
+			// each arriving copy from its own (node, round) stream.
+			newly = eng.receiverRound(informed, arrival, t, newly, n-count, func(words []uint64, v int) bool {
+				return scanLossy(g, words, v, base, t, opt.Loss)
+			})
 		}
 		if proto == GossipProbFlood {
 			// Freshly informed nodes decide once whether they forward,
-			// keyed by (node, round informed) — the same draw the
-			// reference makes.
+			// keyed by (node, round informed).
 			active = active[:0]
 			for _, v := range newly {
 				lr := rng.At(base, uint64(v), uint64(t))
@@ -282,14 +287,22 @@ func degreeSum(g *graph.Graph, nodes []int32) int64 {
 // scanLossy decides whether uninformed node v receives the message in
 // round t: it walks v's adjacency, and each informed neighbor's copy
 // survives with probability 1−loss, drawn from v's (node, round)
-// stream in adjacency order.
+// stream in adjacency order. The stream is derived at the first draw,
+// so loss 0 and nodes with no informed neighbor derive none.
 func scanLossy(g *graph.Graph, words []uint64, v int, base uint64, t int, loss float64) bool {
-	lr := rng.At(base, uint64(v), uint64(t))
+	var lr rng.RNG
+	drawn := false
 	for _, u := range g.Neighbors(v) {
 		if words[u>>6]&(1<<(uint(u)&63)) == 0 {
 			continue
 		}
-		if loss > 0 && lr.Bernoulli(loss) {
+		if loss == 0 {
+			return true
+		}
+		if !drawn {
+			lr, drawn = rng.At(base, uint64(v), uint64(t)), true
+		}
+		if lr.Bernoulli(loss) {
 			continue // this copy lost; try the next informed neighbor
 		}
 		return true

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"meg/internal/bitset"
 	"meg/internal/graph"
 	"meg/internal/par"
@@ -113,64 +111,4 @@ func (e *gossipEngine) pushPullRound(g *graph.Graph, informed *bitset.Set, arriv
 	})
 	e.addMessages(used, messages)
 	return e.mergeFrontiers(e.frontiers[:used], words, arrival, t, newly)
-}
-
-// lossyRound is the lossy-flood kernel, receiver-driven: every
-// uninformed node scans its adjacency for informed neighbors, drawing
-// the fate of each arriving copy from its own (node, round) stream and
-// stopping at the first delivery. The uninformed side is split into
-// contiguous shards — word ranges of the complement while the
-// uninformed set is large, ranges of the shrinking active-set list in
-// the straggler regime. The whole per-node scan lives inside one shard,
-// so the stream is consumed in adjacency order for every shard count.
-// The informed set is only read during the scan; hits are applied
-// after the join, in shard order.
-func (e *gossipEngine) lossyRound(g *graph.Graph, informed *bitset.Set, arrival []int32, base uint64, t int, loss float64, newly []int32, uninformed int) []int32 {
-	words := informed.MutableWords()
-	n := informed.Len()
-	e.reset()
-	if e.uninf.enabled(words, n, uninformed) {
-		list := e.uninf.nodes
-		par.ForBlocks(e.workers, len(list), func(shard, lo, hi int) {
-			out := e.newly[shard][:0]
-			for _, v := range list[lo:hi] {
-				if scanLossy(g, words, int(v), base, t, loss) {
-					arrival[v] = int32(t + 1)
-					out = append(out, v)
-				}
-			}
-			e.newly[shard] = out
-		})
-		start := len(newly)
-		newly = e.applyPull(words, newly)
-		if len(newly) > start {
-			// No deliveries → the list is unchanged; skip compaction.
-			e.uninf.compact(words)
-		}
-		return newly
-	}
-	par.ForBlocks(e.workers, e.words, func(shard, lo, hi int) {
-		out := e.newly[shard][:0]
-		for wi := lo; wi < hi; wi++ {
-			rem := ^words[wi]
-			if rem == 0 {
-				continue
-			}
-			wbase := wi * 64
-			for rem != 0 {
-				b := bits.TrailingZeros64(rem)
-				rem &= rem - 1
-				v := wbase + b
-				if v >= n {
-					break
-				}
-				if scanLossy(g, words, v, base, t, loss) {
-					arrival[v] = int32(t + 1)
-					out = append(out, int32(v))
-				}
-			}
-		}
-		e.newly[shard] = out
-	})
-	return e.applyPull(words, newly)
 }

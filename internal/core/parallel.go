@@ -156,19 +156,20 @@ func (e *shardEngine) mergeFrontiers(frontiers [][]uint64, words []uint64, arriv
 	return newly
 }
 
-// pullRound is the sharded pull kernel: the uninformed side is split
-// into contiguous shards — word ranges of the complement while the
-// uninformed set is large, ranges of the shrinking active-set list in
-// the straggler regime — each worker testing its own nodes for an
-// informed neighbor (CSR walk with first-hit exit) and recording hits
-// in its shard's newly list. The
-// informed set is only read during the scan — hits are applied after
-// the join, in shard order, so discoveries never feed back into the
-// same round (the paper's synchronous semantics) and the result does
-// not depend on the shard count. Both enumerations visit the same nodes
-// ascending (list shards are contiguous slices of an ascending list),
-// so the result is byte-identical either way.
-func (e *shardEngine) pullRound(g *graph.Graph, informed *bitset.Set, arrival []int32, t int, newly []int32, uninformed int) []int32 {
+// receiverRound is the sharded receiver-driven scan shared by the pull
+// flooding kernel and the lossy gossip kernel: the uninformed side is
+// split into contiguous shards — word ranges of the complement while
+// the uninformed set is large, ranges of the shrinking active-set list
+// in the straggler regime — each worker asking hit whether each of its
+// nodes receives the message this round and recording hits in its
+// shard's newly list. The informed set is only read during the scan —
+// hits are applied after the join, in shard order, so discoveries never
+// feed back into the same round (the paper's synchronous semantics) and
+// the result does not depend on the shard count. Both enumerations
+// visit the same nodes ascending (list shards are contiguous slices of
+// an ascending list), and hit sees one node's whole test inside one
+// shard, so the result is byte-identical either way.
+func (e *shardEngine) receiverRound(informed *bitset.Set, arrival []int32, t int, newly []int32, uninformed int, hit func(words []uint64, v int) bool) []int32 {
 	words := informed.MutableWords()
 	n := informed.Len()
 	e.reset()
@@ -177,7 +178,7 @@ func (e *shardEngine) pullRound(g *graph.Graph, informed *bitset.Set, arrival []
 		par.ForBlocks(e.workers, len(list), func(shard, lo, hi int) {
 			out := e.newly[shard][:0]
 			for _, v := range list[lo:hi] {
-				if pullHit(g, words, int(v)) {
+				if hit(words, int(v)) {
 					arrival[v] = int32(t + 1)
 					out = append(out, v)
 				}
@@ -208,7 +209,7 @@ func (e *shardEngine) pullRound(g *graph.Graph, informed *bitset.Set, arrival []
 				if v >= n {
 					break
 				}
-				if pullHit(g, words, v) {
+				if hit(words, v) {
 					arrival[v] = int32(t + 1)
 					out = append(out, int32(v))
 				}

@@ -6,7 +6,6 @@ import (
 	"meg/internal/core"
 	"meg/internal/edgemeg"
 	"meg/internal/geommeg"
-	"meg/internal/protocol"
 	"meg/internal/rng"
 	"meg/internal/stats"
 	"meg/internal/sweep"
@@ -23,8 +22,9 @@ import (
 // gossip variants must trade a logarithmic latency factor for order-of-
 // magnitude message savings.
 //
-// The gossip rows run on the bit-parallel sharded kernel engine, which
-// produces the same numbers as the per-node reference.
+// Every row runs on the bit-parallel sharded gossip engine; the flooding
+// row is lossy flooding at f = 0, which is flooding with message
+// accounting (Σ deg over informed nodes per round).
 func E16Protocols(p Params) *Report {
 	n := pick(p.Scale, 1024, 4096, 16384)
 	trials := pick(p.Scale, 8, 12, 20)
@@ -34,16 +34,17 @@ func E16Protocols(p Params) *Report {
 	geomCfg := geommeg.Config{N: n, R: radius, MoveRadius: radius / 2}
 	edgeCfg := edgeConfigFor(n, pHat, 0.5)
 
-	// Flooding runs the reference (it is the message-accounting
-	// baseline); the gossip family dispatches through runProto below.
+	// The first row is the flooding baseline the others are measured
+	// against.
 	protos := []struct {
-		name       string
-		beta, loss float64
+		label string
+		proto core.GossipProtocol
+		beta  float64
 	}{
-		{name: "flooding"},
-		{name: "probabilistic", beta: 0.8},
-		{name: "push"},
-		{name: "push-pull"},
+		{label: "flooding", proto: core.GossipLossyFlood},
+		{label: "prob-flood(β=0.80)", proto: core.GossipProbFlood, beta: 0.8},
+		{label: "push-gossip", proto: core.GossipPush},
+		{label: "push-pull", proto: core.GossipPushPull},
 	}
 
 	rep := &Report{
@@ -60,11 +61,13 @@ func E16Protocols(p Params) *Report {
 		rounds, messages float64
 		success          int
 	}
-	run := func(factory func() core.Dynamics, name string, beta, loss float64, salt int) row {
-		res := sweep.Repeat(trials, rng.SeedFor(p.Seed, salt), p.Workers, func(rep int, r *rng.RNG) protocol.Result {
+	run := func(factory func() core.Dynamics, proto core.GossipProtocol, beta float64, salt int) row {
+		res := sweep.Repeat(trials, rng.SeedFor(p.Seed, salt), p.Workers, func(rep int, r *rng.RNG) core.GossipResult {
 			d := factory()
 			d.Reset(r.Split())
-			return runProto(p, d, name, beta, loss, r.Intn(n), core.DefaultRoundCap(n), r)
+			return core.Gossip(d, proto, r.Intn(n), core.DefaultRoundCap(n), r, core.GossipOptions{
+				Beta: beta, Parallelism: p.Parallelism,
+			})
 		})
 		var out row
 		var rAcc, mAcc stats.Accumulator
@@ -96,7 +99,7 @@ func E16Protocols(p Params) *Report {
 			"protocol", "success", "rounds mean", "messages mean", "msg vs flooding")
 		var floodRow row
 		for pi, proto := range protos {
-			rw := run(sub.factory, proto.name, proto.beta, proto.loss, 1600+100*si+pi)
+			rw := run(sub.factory, proto.proto, proto.beta, 1600+100*si+pi)
 			if pi == 0 {
 				floodRow = rw
 			}
@@ -111,10 +114,10 @@ func E16Protocols(p Params) *Report {
 			if rw.success > 0 && rw.rounds < floodRow.rounds-1 {
 				floodFastest = false
 			}
-			if proto.name == "push" && rw.messages >= floodRow.messages {
+			if proto.proto == core.GossipPush && rw.messages >= floodRow.messages {
 				gossipSaves = false
 			}
-			tbl.AddRow(displayName(proto.name, proto.beta, proto.loss), rw.success, rw.rounds, rw.messages, rw.messages/floodRow.messages)
+			tbl.AddRow(proto.label, rw.success, rw.rounds, rw.messages, rw.messages/floodRow.messages)
 		}
 		rep.Tables = append(rep.Tables, tbl)
 	}
@@ -131,40 +134,4 @@ func E16Protocols(p Params) *Report {
 		"flood_fastest": b2f(floodFastest), "gossip_saves": b2f(gossipSaves),
 	}
 	return rep
-}
-
-// runProto runs one protocol trial. Flooding uses the reference
-// implementation (the gossip engine has no flooding kernel — the
-// flooding engine does that job, but without message accounting); the
-// gossip family uses core.Gossip.
-func runProto(p Params, d core.Dynamics, name string, beta, loss float64, src, maxRounds int, r *rng.RNG) protocol.Result {
-	if name == "flooding" {
-		proto, err := protocol.ByName(name, beta, loss)
-		if err != nil {
-			panic(err)
-		}
-		return proto.Run(d, src, maxRounds, r)
-	}
-	gp, err := core.ParseGossip(name)
-	if err != nil {
-		panic(err)
-	}
-	res := core.Gossip(d, gp, src, maxRounds, r, core.GossipOptions{
-		Beta: beta, Loss: loss, Parallelism: p.Parallelism,
-	})
-	return protocol.Result{
-		Rounds:     res.Rounds,
-		Completed:  res.Completed,
-		Trajectory: res.Trajectory,
-		Messages:   res.Messages,
-	}
-}
-
-// displayName returns the protocol's human-readable table label.
-func displayName(name string, beta, loss float64) string {
-	proto, err := protocol.ByName(name, beta, loss)
-	if err != nil {
-		return name
-	}
-	return proto.Name()
 }

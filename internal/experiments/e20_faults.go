@@ -6,7 +6,6 @@ import (
 	"meg/internal/core"
 	"meg/internal/edgemeg"
 	"meg/internal/geommeg"
-	"meg/internal/protocol"
 	"meg/internal/rng"
 	"meg/internal/stats"
 	"meg/internal/sweep"
@@ -56,10 +55,12 @@ func E20Faults(p Params) *Report {
 		var base float64
 		for li, f := range losses {
 			loss := f
-			res := sweep.Repeat(trials, rng.SeedFor(p.Seed, 2000+100*si+li), p.Workers, func(rep int, r *rng.RNG) protocol.Result {
+			res := sweep.Repeat(trials, rng.SeedFor(p.Seed, 2000+100*si+li), p.Workers, func(rep int, r *rng.RNG) core.GossipResult {
 				d := sub.factory()
 				d.Reset(r.Split())
-				return protocol.LossyFlooding{Loss: loss}.Run(d, r.Intn(n), core.DefaultRoundCap(n), r)
+				return core.Gossip(d, core.GossipLossyFlood, r.Intn(n), core.DefaultRoundCap(n), r, core.GossipOptions{
+					Loss: loss, Parallelism: p.Parallelism,
+				})
 			})
 			success := 0
 			var acc stats.Accumulator

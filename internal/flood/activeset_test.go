@@ -81,7 +81,7 @@ func TestActiveSetEquivalenceLossy(t *testing.T) {
 		}
 		baseline := func() ProtocolCampaign {
 			defer core.SetActiveSetFracForTest(0)()
-			return runProtocolWith(t, s, EngineKernel, 1)
+			return runProtocolWith(t, s, 1)
 		}()
 		for _, par := range []int{1, 8} {
 			for _, frac := range []float64{1, -1} {
@@ -89,7 +89,7 @@ func TestActiveSetEquivalenceLossy(t *testing.T) {
 					if frac >= 0 {
 						defer core.SetActiveSetFracForTest(frac)()
 					}
-					return runProtocolWith(t, s, EngineKernel, par)
+					return runProtocolWith(t, s, par)
 				}()
 				protocolCampaignsEqual(t, m+"/lossy-active-set", baseline, got)
 			}

@@ -83,7 +83,7 @@ func TestSnapshotDeltaIdenticalBatchedMulti(t *testing.T) {
 }
 
 // TestSnapshotDeltaIdenticalProtocols closes the matrix over the
-// gossip family: on every (model, protocol) pair the kernel engine
+// gossip family: on every (model, protocol) pair the gossip engine
 // run with the delta path forced must reproduce the full-rebuild campaign at
 // Parallelism 1 and 8. Together with the reference-vs-kernel
 // equivalence gate this pins delta × {all four protocols} × {P1, P8}
@@ -91,9 +91,9 @@ func TestSnapshotDeltaIdenticalBatchedMulti(t *testing.T) {
 func TestSnapshotDeltaIdenticalProtocols(t *testing.T) {
 	for _, s := range protocolSpecs(t) {
 		label := s.Model.Name + "/" + s.Protocol.Name
-		full := runProtocolOn(t, s, EngineKernel, 1, "full")
+		full := runProtocolOn(t, s, 1, "full")
 		for _, par := range []int{1, 8} {
-			delta := runProtocolOn(t, s, EngineKernel, par, "delta")
+			delta := runProtocolOn(t, s, par, "delta")
 			protocolCampaignsEqual(t, label+"/delta-vs-full", full, delta)
 		}
 	}

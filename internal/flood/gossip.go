@@ -5,31 +5,16 @@ import (
 	"fmt"
 
 	"meg/internal/core"
-	"meg/internal/protocol"
 	"meg/internal/rng"
 	"meg/internal/spec"
 	"meg/internal/stats"
 	"meg/internal/sweep"
 )
 
-// Protocol engine spellings: which implementation runs a non-flooding
-// protocol campaign. Both produce byte-identical results on the same
-// seeds. Specs always run the kernel; the reference is selected only
-// through ProtocolOptions.Engine, by the equivalence tests and the
-// bench's reference-vs-kernel scenarios.
-const (
-	// EngineKernel is the bit-parallel sharded gossip engine
-	// (core.Gossip) — the default.
-	EngineKernel = "kernel"
-	// EngineReference is the per-node oracle in internal/protocol,
-	// retained for cross-checking and as the equivalence baseline.
-	EngineReference = "reference"
-)
-
 // ProtocolOptions configures a campaign of a non-flooding protocol
 // (push gossip, push-pull, probabilistic or lossy flooding): the same
-// trial/source estimator as Options, plus the protocol selection and
-// engine knobs.
+// trial/source estimator as Options, plus the protocol selection. Every
+// campaign runs on the sharded gossip engine (core.Gossip).
 type ProtocolOptions struct {
 	// Protocol is the protocol name (push|push-pull|probabilistic|lossy).
 	Protocol string
@@ -37,11 +22,6 @@ type ProtocolOptions struct {
 	Beta float64
 	// Loss is lossy flooding's per-message loss probability.
 	Loss float64
-	// Engine selects the implementation: EngineKernel (default, also
-	// the empty string) or EngineReference. Byte-identical results; the
-	// reference exists as the oracle for tests and the bench, and
-	// ProtocolOptionsFromSpec always leaves the kernel selected.
-	Engine string
 	// Trials is the number of independent repetitions (default 1).
 	Trials int
 	// SourcesPerTrial is how many sources each trial maximizes over
@@ -55,21 +35,18 @@ type ProtocolOptions struct {
 	Workers int
 	// Parallelism is the intra-trial worker count of the sharded gossip
 	// engine and the models' snapshot builds. Results are byte-identical
-	// for every value; the reference engine ignores it for the protocol
-	// rounds but still hands it to the models.
+	// for every value.
 	Parallelism int
-	// OnRound, if non-nil, receives per-round progress (kernel engine
-	// only; the reference implementations have no round hooks). Called
+	// OnRound, if non-nil, receives per-round progress. Called
 	// concurrently from trial workers.
 	OnRound func(trial, round, informed int)
 	// OnTrialDone, if non-nil, is called as each trial finishes
 	// (completion order, concurrently).
 	OnTrialDone func(trial int, t ProtocolTrial)
 	// Hook, if non-nil, is called once at the start of every trial and
-	// may return a core.PhaseHook observing that trial's engine rounds
-	// (kernel engine only; the reference implementations have no phase
-	// structure to report). Same contract as Options.Hook: one distinct
-	// hook per trial, observation only, byte-identical results.
+	// may return a core.PhaseHook observing that trial's engine rounds.
+	// Same contract as Options.Hook: one distinct hook per trial,
+	// observation only, byte-identical results.
 	Hook func(trial int) core.PhaseHook
 }
 
@@ -139,34 +116,27 @@ func RunProtocol(factory Factory, opt ProtocolOptions) ProtocolCampaign {
 }
 
 // RunProtocolContext runs opt.Trials independent repetitions of the
-// selected protocol — fresh dynamics per trial, worst result over the
-// trial's sources — in parallel and deterministically with respect to
-// opt.Seed. The kernel and reference engines produce byte-identical
-// campaigns on every field the reference computes (Source, Rounds,
-// Completed, Trajectory, Messages); the kernel additionally populates
-// Informed and Arrival, which the reference adapter leaves nil.
-// Cancellation mirrors RunContext (kernel runs abort at the next
-// round, reference runs at the next source).
+// selected protocol on the sharded gossip engine — fresh dynamics per
+// trial, worst result over the trial's sources — in parallel and
+// deterministically with respect to opt.Seed. Cancellation mirrors
+// RunContext: runs abort at the next round.
 func RunProtocolContext(ctx context.Context, factory Factory, opt ProtocolOptions) (ProtocolCampaign, error) {
+	gp, err := core.ParseGossip(opt.Protocol)
+	if err != nil {
+		return ProtocolCampaign{}, err
+	}
+	// The model built to read n serves as trial 0's dynamics; every
+	// source Resets the dynamics before use, so reuse is invisible.
 	probe := factory()
 	n := probe.N()
 	opt = opt.withDefaults(n)
 
-	var ref protocol.Protocol
-	var gp core.GossipProtocol
-	var err error
-	if opt.Engine == EngineReference {
-		ref, err = protocol.ByName(opt.Protocol, opt.Beta, opt.Loss)
-	} else {
-		gp, err = core.ParseGossip(opt.Protocol)
-	}
-	if err != nil {
-		return ProtocolCampaign{}, err
-	}
-
 	stop := func() bool { return ctx.Err() != nil }
 	trials, err := sweep.RepeatCtx(ctx, opt.Trials, opt.Seed, opt.Workers, func(rep int, r *rng.RNG) ProtocolTrial {
-		d := factory()
+		d := probe
+		if rep != 0 {
+			d = factory()
+		}
 		sources := make([]int, opt.SourcesPerTrial)
 		// First source fixed for comparability; the rest sampled.
 		for i := 1; i < len(sources); i++ {
@@ -186,24 +156,12 @@ func RunProtocolContext(ctx context.Context, factory Factory, opt ProtocolOption
 				break
 			}
 			d.Reset(r.Split())
-			var res core.GossipResult
-			if ref != nil {
-				out := ref.Run(d, src, opt.MaxRounds, r)
-				res = core.GossipResult{
-					Source:     src,
-					Rounds:     out.Rounds,
-					Completed:  out.Completed,
-					Trajectory: out.Trajectory,
-					Messages:   out.Messages,
-				}
-			} else {
-				res = core.Gossip(d, gp, src, opt.MaxRounds, r, core.GossipOptions{
-					Beta: opt.Beta, Loss: opt.Loss,
-					Parallelism: opt.Parallelism,
-					Stop:        stop, Progress: progress,
-					Hook: hook,
-				})
-			}
+			res := core.Gossip(d, gp, src, opt.MaxRounds, r, core.GossipOptions{
+				Beta: opt.Beta, Loss: opt.Loss,
+				Parallelism: opt.Parallelism,
+				Stop:        stop, Progress: progress,
+				Hook: hook,
+			})
 			if i == 0 || worseResult(res, worst) {
 				worst = res
 			}

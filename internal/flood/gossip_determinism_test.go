@@ -3,7 +3,11 @@ package flood
 import (
 	"testing"
 
+	"meg/internal/core"
+	"meg/internal/protocol"
+	"meg/internal/rng"
 	"meg/internal/spec"
+	"meg/internal/sweep"
 )
 
 // protocolSpecs builds one small spec per (model, protocol) pair — all
@@ -36,18 +40,25 @@ func protocolSpecs(t *testing.T) []spec.Spec {
 	return specs
 }
 
-// runProtocolWith executes a spec's protocol campaign with the given
-// engine and intra-trial parallelism.
-func runProtocolWith(t *testing.T, s spec.Spec, engine string, parallelism int) ProtocolCampaign {
+// runProtocolWith executes a spec's protocol campaign on the gossip
+// engine with the given intra-trial parallelism.
+func runProtocolWith(t *testing.T, s spec.Spec, parallelism int) ProtocolCampaign {
 	t.Helper()
-	return runProtocolOn(t, s, engine, parallelism, "")
+	return runProtocolOn(t, s, parallelism, "")
 }
 
 // runProtocolOn is runProtocolWith with the snapshot path pinned as in
 // withSnapshotPath ("" leaves the engines' choice in place).
-func runProtocolOn(t *testing.T, s spec.Spec, engine string, parallelism int, path string) ProtocolCampaign {
+func runProtocolOn(t *testing.T, s spec.Spec, parallelism int, path string) ProtocolCampaign {
 	t.Helper()
 	s.Parallelism = parallelism
+	factory, opt := protocolSetup(t, s)
+	return RunProtocol(withSnapshotPath(factory, path), opt)
+}
+
+// protocolSetup builds a protocol spec's factory and campaign options.
+func protocolSetup(t *testing.T, s spec.Spec) (Factory, ProtocolOptions) {
+	t.Helper()
 	factory, _, err := s.NewFactory()
 	if err != nil {
 		t.Fatalf("NewFactory: %v", err)
@@ -56,13 +67,54 @@ func runProtocolOn(t *testing.T, s spec.Spec, engine string, parallelism int, pa
 	if err != nil {
 		t.Fatalf("ProtocolOptionsFromSpec: %v", err)
 	}
-	opt.Engine = engine
-	return RunProtocol(withSnapshotPath(factory, path), opt)
+	return factory, opt
+}
+
+// runReferenceCampaign is RunProtocol with every run on the per-node
+// reference implementation in internal/protocol. It mirrors
+// RunProtocolContext's use of randomness — one sweep stream per trial,
+// the extra sources drawn first, then a Reset from r.Split() and a run
+// drawing from r for each source — and its worst-source choice, so the
+// engine must reproduce it on every field the reference computes.
+func runReferenceCampaign(t *testing.T, s spec.Spec) ProtocolCampaign {
+	t.Helper()
+	factory, opt := protocolSetup(t, s)
+	ref, err := protocol.ByName(opt.Protocol, opt.Beta, opt.Loss)
+	if err != nil {
+		t.Fatalf("protocol.ByName: %v", err)
+	}
+	n := factory().N()
+	opt = opt.withDefaults(n)
+	trials := sweep.Repeat(opt.Trials, opt.Seed, opt.Workers, func(rep int, r *rng.RNG) ProtocolTrial {
+		d := factory()
+		sources := make([]int, opt.SourcesPerTrial)
+		for i := 1; i < len(sources); i++ {
+			sources[i] = r.Intn(n)
+		}
+		var worst core.GossipResult
+		for i, src := range sources {
+			d.Reset(r.Split())
+			out := ref.Run(d, src, opt.MaxRounds, r)
+			res := core.GossipResult{Source: src, Rounds: out.Rounds, Completed: out.Completed,
+				Trajectory: out.Trajectory, Messages: out.Messages}
+			if i == 0 || worseResult(res, worst) {
+				worst = res
+			}
+		}
+		return ProtocolTrial{Result: worst, RoundsToHalf: worst.RoundsToHalf(n)}
+	})
+	c := ProtocolCampaign{Trials: trials}
+	for _, tr := range trials {
+		if !tr.Result.Completed {
+			c.Incomplete++
+		}
+	}
+	return c
 }
 
 // protocolCampaignsEqual compares two protocol campaigns trial by
-// trial on the fields both engines produce (the reference engine does
-// not compute arrival arrays).
+// trial on the fields the reference also produces (it computes no
+// arrival arrays).
 func protocolCampaignsEqual(t *testing.T, label string, a, b ProtocolCampaign) {
 	t.Helper()
 	if len(a.Trials) != len(b.Trials) {
@@ -95,21 +147,20 @@ func protocolCampaignsEqual(t *testing.T, label string, a, b ProtocolCampaign) {
 func TestProtocolParallelismIdentical(t *testing.T) {
 	for _, s := range protocolSpecs(t) {
 		label := s.Model.Name + "/" + s.Protocol.Name
-		serial := runProtocolWith(t, s, EngineKernel, 1)
-		sharded := runProtocolWith(t, s, EngineKernel, 8)
+		serial := runProtocolWith(t, s, 1)
+		sharded := runProtocolWith(t, s, 8)
 		protocolCampaignsEqual(t, label, serial, sharded)
 	}
 }
 
 // TestProtocolEngineEquivalence pins the oracle contract end to end at
-// the campaign level: the kernel engine must reproduce the reference
-// engine byte for byte on every (model, protocol) pair — the invariant
-// that lets protocolEngine stay outside the spec content hash.
+// the campaign level: the gossip engine must reproduce the per-node
+// reference campaign byte for byte on every (model, protocol) pair.
 func TestProtocolEngineEquivalence(t *testing.T) {
 	for _, s := range protocolSpecs(t) {
 		label := s.Model.Name + "/" + s.Protocol.Name
-		ref := runProtocolWith(t, s, EngineReference, 1)
-		ker := runProtocolWith(t, s, EngineKernel, 8)
+		ref := runReferenceCampaign(t, s)
+		ker := runProtocolWith(t, s, 8)
 		protocolCampaignsEqual(t, label+"/ref-vs-kernel", ref, ker)
 		if ref.Incomplete == len(ref.Trials) {
 			t.Errorf("%s: every trial incomplete (vacuous comparison)", label)

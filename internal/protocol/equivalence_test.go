@@ -10,7 +10,9 @@ import (
 )
 
 // gossipCases pairs every reference protocol with its kernel engine
-// counterpart.
+// counterpart. Flooding has no gossip kernel of its own: lossy flooding
+// at f = 0 is flooding with message accounting, the row E16 runs as its
+// baseline.
 var gossipCases = []struct {
 	name  string
 	ref   protocol.Protocol
@@ -21,6 +23,7 @@ var gossipCases = []struct {
 	{"push-pull", protocol.PushPull{}, core.GossipPushPull, core.GossipOptions{}},
 	{"probabilistic", protocol.Probabilistic{Beta: 0.7}, core.GossipProbFlood, core.GossipOptions{Beta: 0.7}},
 	{"lossy", protocol.LossyFlooding{Loss: 0.3}, core.GossipLossyFlood, core.GossipOptions{Loss: 0.3}},
+	{"flooding", protocol.Flooding{}, core.GossipLossyFlood, core.GossipOptions{}},
 }
 
 // modelFactories builds one small dynamics factory per evolving-graph

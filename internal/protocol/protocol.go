@@ -1,13 +1,14 @@
-// Package protocol implements the family of broadcast protocols the
+// Package protocol is the test oracle of the gossip engine: simple
+// per-node implementations of the family of broadcast protocols the
 // paper positions flooding within: "flooding time in fact represents
 // the 'natural' lower bound for broadcast protocols in dynamic
 // networks. For this reason, flooding is often used in order to
 // evaluate the relative efficiency of alternative protocols" (Section
-// 1, citing [8, 16, 29]). The package provides that evaluation: the
-// alternatives actually used in unstructured/dynamic networks, all
-// running on any core.Dynamics with per-round message accounting, so
-// their latency and message complexity can be compared against the
-// flooding baseline.
+// 1, citing [8, 16, 29]). All of them run on any core.Dynamics with
+// per-round message accounting. Production code (E16, E20, the
+// campaigns, megserve) runs the same protocols on core.Gossip; only
+// _test.go files import this package, to check the engine against it
+// byte for byte, and a CI lint step enforces that.
 //
 // Protocols:
 //

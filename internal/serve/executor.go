@@ -248,10 +248,6 @@ func (e *Executor) runProtocol(ctx context.Context, c spec.Spec, hash string, si
 	if err != nil {
 		return nil, err
 	}
-	proto, err := c.NewProtocol()
-	if err != nil {
-		return nil, err
-	}
 	opt, err := flood.ProtocolOptionsFromSpec(c)
 	if err != nil {
 		return nil, err
@@ -276,7 +272,7 @@ func (e *Executor) runProtocol(ctx context.Context, c spec.Spec, hash string, si
 		Hash:             hash,
 		Spec:             publicSpec(c),
 		Model:            desc,
-		Protocol:         proto.Name(),
+		Protocol:         c.Protocol.Name,
 		CompletedTrials:  len(camp.Rounds),
 		IncompleteTrials: camp.Incomplete,
 		Rounds:           camp.Summary,

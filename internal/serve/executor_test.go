@@ -45,6 +45,25 @@ func TestExecutorProtocolPath(t *testing.T) {
 	}
 }
 
+// TestExecutorProtocolName pins Result.Protocol to the canonical spec
+// spelling, as flooding jobs report "flooding"; the protocol
+// parameters stay visible in Result.Spec.
+func TestExecutorProtocolName(t *testing.T) {
+	for _, p := range []spec.Protocol{{Name: "push"}, {Name: "probabilistic", Beta: 0.8}} {
+		s := spec.Spec{Model: spec.Model{Name: "edge", N: 128}, Protocol: p}
+		res, err := (&Executor{}).Execute(context.Background(), s, nil)
+		if err != nil {
+			t.Fatalf("%s: Execute: %v", p.Name, err)
+		}
+		if res.Protocol != p.Name {
+			t.Errorf("Result.Protocol = %q, want %q", res.Protocol, p.Name)
+		}
+		if res.Spec.Protocol != p {
+			t.Errorf("Result.Spec.Protocol = %+v, want %+v", res.Spec.Protocol, p)
+		}
+	}
+}
+
 func TestExecutorExperimentPath(t *testing.T) {
 	s := spec.Spec{Experiment: "E2", Scale: "quick"}
 	exec := &Executor{}

@@ -8,7 +8,6 @@ import (
 	"meg/internal/edgemeg"
 	"meg/internal/geommeg"
 	"meg/internal/mobility"
-	"meg/internal/protocol"
 )
 
 // NewFactory builds the trial factory for the spec's model together
@@ -102,13 +101,4 @@ func (s Spec) NewFactory() (func() core.Dynamics, string, error) {
 			fmt.Sprintf("restricted i.i.d. disk n=%d R=%.2f roam=%.2f", n, radius, 2*radius), nil)
 	}
 	return nil, "", fmt.Errorf("spec: unknown model %q", m.Name)
-}
-
-// NewProtocol builds the spec's protocol runner.
-func (s Spec) NewProtocol() (protocol.Protocol, error) {
-	c, err := s.Canonical()
-	if err != nil {
-		return nil, err
-	}
-	return protocol.ByName(c.Protocol.Name, c.Protocol.Beta, c.Protocol.Loss)
 }

@@ -39,7 +39,6 @@ import (
 	"meg/internal/geommeg"
 	"meg/internal/graph"
 	"meg/internal/mobility"
-	"meg/internal/protocol"
 	"meg/internal/rng"
 	"meg/internal/walk"
 )
@@ -182,18 +181,6 @@ func NewMobilityDynamics(m Mobility, radius float64) Dynamics {
 // baseline).
 func Static(g *Graph) Dynamics { return core.NewStatic(g) }
 
-// Protocol is a broadcast protocol runnable on any Dynamics; the
-// protocol package provides Flooding, Probabilistic, PushGossip,
-// PushPull and LossyFlooding — the family for which flooding is the
-// latency baseline. These are the simple per-node reference
-// implementations; Gossip runs the same protocols on the bit-parallel
-// sharded engine with byte-identical results.
-type Protocol = protocol.Protocol
-
-// ProtocolResult is the outcome of a protocol run, including message
-// accounting.
-type ProtocolResult = protocol.Result
-
 // GossipProtocol selects a protocol kernel of the gossip engine.
 type GossipProtocol = core.GossipProtocol
 
@@ -211,14 +198,16 @@ const (
 // hooks. Results are byte-identical for every Parallelism value.
 type GossipOptions = core.GossipOptions
 
-// GossipResult is the outcome of a Gossip run: the reference
-// ProtocolResult fields plus the final informed set and per-node
-// arrival times.
+// GossipResult is the outcome of a Gossip run: rounds, completion,
+// informed-count trajectory, message count, the final informed set and
+// per-node arrival times.
 type GossipResult = core.GossipResult
 
 // Gossip runs the selected protocol on the bit-parallel sharded gossip
-// engine — byte-identical to the reference Protocol implementations on
-// the same seeds at every worker count; see core.Gossip.
+// engine — the broadcast family (push, push–pull, probabilistic and
+// lossy flooding) for which flooding is the latency baseline. Results
+// are byte-identical at every worker count; see core.Gossip. Loss 0
+// with GossipLossyFlood is plain flooding with message accounting.
 func Gossip(d Dynamics, proto GossipProtocol, source, maxRounds int, r *RNG, opt GossipOptions) GossipResult {
 	return core.Gossip(d, proto, source, maxRounds, r, opt)
 }
