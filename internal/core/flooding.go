@@ -190,7 +190,8 @@ type FloodOptions struct {
 //
 // Flood does not Reset d: the caller controls the initial distribution
 // (stationary or otherwise). On return the dynamics is positioned at
-// the time step following the last evaluated snapshot.
+// the last evaluated snapshot: the chain advances only between
+// evaluated rounds, never after the final one.
 //
 // maxRounds must be positive; a cap of 4n is a safe default for
 // connected-regime experiments (see DefaultRoundCap).
@@ -249,12 +250,17 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 		eng.hook = opt.Hook
 	}
 	retired := false
-	// senders holds exactly the nodes of I_t; nodes discovered during
+	// count is |I_t|. On the snapshot path senders holds exactly the
+	// nodes of I_t, the push kernel's input; nodes discovered during
 	// round t are appended only after the round completes, enforcing
 	// the paper's synchronous semantics (a node informed at step t does
-	// not transmit until step t+1).
-	senders := make([]int32, 1, n)
-	senders[0] = int32(source)
+	// not transmit until step t+1). The Spreader path needs no list.
+	count := 1
+	var senders []int32
+	if sp == nil {
+		senders = make([]int32, 1, n)
+		senders[0] = int32(source)
+	}
 	newly := make([]int32, 0, 256)
 	h := opt.Hook
 	for t := 0; t < maxRounds; t++ {
@@ -292,7 +298,7 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 			if th <= 0 {
 				th = pullThresholdFor(g.AvgDegree())
 			}
-			pull = float64(len(senders)) >= th*float64(n)
+			pull = float64(count) >= th*float64(n)
 		}
 		newly = newly[:0]
 		if sp != nil {
@@ -302,9 +308,7 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 				arrival[v] = int32(t + 1)
 			}
 		} else if pull {
-			newly = eng.receiverRound(informed, arrival, t, newly, n-len(senders), func(words []uint64, v int) bool {
-				return pullHit(g, words, v)
-			})
+			newly = eng.receiverRound(informed, arrival, t, newly, n-count, receiverTest{g: g})
 		} else {
 			newly = eng.pushRound(g, senders, informed, arrival, t, newly)
 		}
@@ -326,16 +330,22 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 				}
 			}
 		}
-		senders = append(senders, newly...)
-		res.Trajectory = append(res.Trajectory, len(senders))
-		snap.step()
+		if sp == nil {
+			senders = append(senders, newly...)
+		}
+		count += len(newly)
+		res.Trajectory = append(res.Trajectory, count)
+		if count < n && t+1 < maxRounds {
+			// Only a round that follows reads the advanced chain.
+			snap.step()
+		}
 		if opt.Progress != nil {
-			opt.Progress(t+1, len(senders))
+			opt.Progress(t+1, count)
 		}
 		if h != nil {
-			h.RoundDone(RoundStats{Round: t + 1, Informed: len(senders), Newly: len(newly)})
+			h.RoundDone(RoundStats{Round: t + 1, Informed: count, Newly: len(newly)})
 		}
-		if len(senders) == n {
+		if count == n {
 			res.Rounds = t + 1
 			res.Completed = true
 			return res

@@ -140,9 +140,9 @@ func (r GossipResult) RoundsToHalf(n int) int {
 //
 // Randomness: one word is consumed from r to derive the run's stream
 // base; the decision of node v in round t is then drawn from
-// rng.At(base, v, t). Decisions are pure functions of (node, round), so
-// the result is byte-identical for every Parallelism value and to the
-// oracle on the same seeds.
+// rng.At(base, v, t), through the run's rng.Streams. Decisions are
+// pure functions of (node, round), so the result is byte-identical for
+// every Parallelism value and to the oracle on the same seeds.
 //
 // Gossip does not Reset d: the caller controls the initial
 // distribution. The chain advances only between evaluated rounds —
@@ -166,7 +166,7 @@ func Gossip(d Dynamics, proto GossipProtocol, source, maxRounds int, r *rng.RNG,
 			panic("core: gossip Loss must be in [0, 1)")
 		}
 	}
-	base := r.Uint64()
+	streams := rng.StreamsOf(r.Uint64())
 	informed := bitset.New(n)
 	informed.Add(source)
 	arrival := make([]int32, n)
@@ -215,9 +215,9 @@ func Gossip(d Dynamics, proto GossipProtocol, source, maxRounds int, r *rng.RNG,
 		}
 		switch proto {
 		case GossipPush:
-			newly = eng.pushGossipRound(g, senders, informed, arrival, base, t, newly, &res.Messages)
+			newly = eng.pushGossipRound(g, senders, informed, arrival, streams, t, newly, &res.Messages)
 		case GossipPushPull:
-			newly = eng.pushPullRound(g, informed, arrival, base, t, newly, &res.Messages)
+			newly = eng.pushPullRound(g, informed, arrival, streams, t, newly, &res.Messages)
 		case GossipProbFlood:
 			// The active nodes transmit to their whole neighborhoods: the
 			// flooding push kernel over the active list.
@@ -228,16 +228,14 @@ func Gossip(d Dynamics, proto GossipProtocol, source, maxRounds int, r *rng.RNG,
 			// Receiver-driven: every uninformed node scans its
 			// adjacency for informed neighbors, drawing the fate of
 			// each arriving copy from its own (node, round) stream.
-			newly = eng.receiverRound(informed, arrival, t, newly, n-count, func(words []uint64, v int) bool {
-				return scanLossy(g, words, v, base, t, opt.Loss)
-			})
+			newly = eng.receiverRound(informed, arrival, t, newly, n-count, receiverTest{g: g, loss: opt.Loss, streams: streams})
 		}
 		if proto == GossipProbFlood {
 			// Freshly informed nodes decide once whether they forward,
 			// keyed by (node, round informed).
 			active = active[:0]
 			for _, v := range newly {
-				lr := rng.At(base, uint64(v), uint64(t))
+				lr := streams.At(uint64(v), uint64(t))
 				if lr.Bernoulli(opt.Beta) {
 					active = append(active, v)
 				}
@@ -288,19 +286,17 @@ func degreeSum(g *graph.Graph, nodes []int32) int64 {
 // round t: it walks v's adjacency, and each informed neighbor's copy
 // survives with probability 1−loss, drawn from v's (node, round)
 // stream in adjacency order. The stream is derived at the first draw,
-// so loss 0 and nodes with no informed neighbor derive none.
-func scanLossy(g *graph.Graph, words []uint64, v int, base uint64, t int, loss float64) bool {
+// so nodes with no informed neighbor derive none. Loss 0 is pullHit,
+// which receiverTest runs instead.
+func scanLossy(g *graph.Graph, words []uint64, v int, streams rng.Streams, t int, loss float64) bool {
 	var lr rng.RNG
 	drawn := false
 	for _, u := range g.Neighbors(v) {
 		if words[u>>6]&(1<<(uint(u)&63)) == 0 {
 			continue
 		}
-		if loss == 0 {
-			return true
-		}
 		if !drawn {
-			lr, drawn = rng.At(base, uint64(v), uint64(t)), true
+			lr, drawn = streams.At(uint64(v), uint64(t)), true
 		}
 		if lr.Bernoulli(loss) {
 			continue // this copy lost; try the next informed neighbor

@@ -39,7 +39,7 @@ func (e *gossipEngine) addMessages(used int, messages *int64) {
 // targets from their (node, round) streams and marking uninformed hits
 // in its private frontier; the shared merge phase applies the union in
 // node order.
-func (e *gossipEngine) pushGossipRound(g *graph.Graph, senders []int32, informed *bitset.Set, arrival []int32, base uint64, t int, newly []int32, messages *int64) []int32 {
+func (e *gossipEngine) pushGossipRound(g *graph.Graph, senders []int32, informed *bitset.Set, arrival []int32, streams rng.Streams, t int, newly []int32, messages *int64) []int32 {
 	words := informed.MutableWords()
 	e.reset()
 	used := e.workers
@@ -58,7 +58,7 @@ func (e *gossipEngine) pushGossipRound(g *graph.Graph, senders []int32, informed
 				continue
 			}
 			m++
-			lr := rng.At(base, uint64(u), uint64(t))
+			lr := streams.At(uint64(u), uint64(t))
 			v := nbrs[lr.Intn(len(nbrs))]
 			if words[v>>6]&(1<<(uint(v)&63)) == 0 {
 				f[v>>6] |= 1 << (uint(v) & 63)
@@ -77,7 +77,7 @@ func (e *gossipEngine) pushGossipRound(g *graph.Graph, senders []int32, informed
 // private frontier. The informed words are read-only during the scan —
 // all decisions see the round-start set — and the shared merge applies
 // the union after the join.
-func (e *gossipEngine) pushPullRound(g *graph.Graph, informed *bitset.Set, arrival []int32, base uint64, t int, newly []int32, messages *int64) []int32 {
+func (e *gossipEngine) pushPullRound(g *graph.Graph, informed *bitset.Set, arrival []int32, streams rng.Streams, t int, newly []int32, messages *int64) []int32 {
 	words := informed.MutableWords()
 	n := informed.Len()
 	e.reset()
@@ -96,7 +96,7 @@ func (e *gossipEngine) pushPullRound(g *graph.Graph, informed *bitset.Set, arriv
 			if len(nbrs) == 0 {
 				continue
 			}
-			lr := rng.At(base, uint64(u), uint64(t))
+			lr := streams.At(uint64(u), uint64(t))
 			v := int(nbrs[lr.Intn(len(nbrs))])
 			m++
 			if words[u>>6]&(1<<(uint(u)&63)) != 0 {

@@ -27,8 +27,9 @@ import (
 // average or maximize over sources).
 //
 // FloodMulti does not Reset d: the caller controls the initial
-// distribution. The chain advances until every run completes or
-// maxRounds rounds have been evaluated, whichever comes first.
+// distribution. The chain advances only between evaluated rounds, so
+// on return d is positioned at the last evaluated snapshot: the round
+// in which every run completed, or the maxRounds-th.
 func FloodMulti(d Dynamics, sources []int, maxRounds int) []FloodResult {
 	return FloodMultiOpt(d, sources, maxRounds, MultiOptions{})
 }
@@ -130,7 +131,9 @@ func FloodMultiOpt(d Dynamics, sources []int, maxRounds int, opt MultiOptions) [
 		if h != nil {
 			h.EndPhase(PhaseKernel)
 		}
-		snap.step()
+		if remaining > 0 && t+1 < maxRounds {
+			snap.step()
+		}
 		if opt.Progress != nil || h != nil {
 			most, total := 0, 0
 			for _, grp := range groups {

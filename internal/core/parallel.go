@@ -6,6 +6,7 @@ import (
 	"meg/internal/bitset"
 	"meg/internal/graph"
 	"meg/internal/par"
+	"meg/internal/rng"
 )
 
 // Parallelizable is optionally implemented by Dynamics whose snapshot
@@ -156,34 +157,60 @@ func (e *shardEngine) mergeFrontiers(frontiers [][]uint64, words []uint64, arriv
 	return newly
 }
 
+// receiverTest is receiverRound's per-node test on the round's
+// snapshot g: with loss 0 it is pull flooding's (pullHit, any informed
+// neighbor), otherwise lossy gossip's (scanLossy, drawing from
+// streams). A concrete value rather than a func value, so the scan
+// runs the test in its own loop with pullHit inlined.
+type receiverTest struct {
+	g       *graph.Graph
+	loss    float64
+	streams rng.Streams
+}
+
+// hits appends to out, in order, the candidates that receive the
+// message in round t, stamping their arrival.
+func (rt receiverTest) hits(words []uint64, cand []int32, arrival []int32, t int, out []int32) []int32 {
+	if rt.loss == 0 {
+		for _, v := range cand {
+			if pullHit(rt.g, words, int(v)) {
+				arrival[v] = int32(t + 1)
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	for _, v := range cand {
+		if scanLossy(rt.g, words, int(v), rt.streams, t, rt.loss) {
+			arrival[v] = int32(t + 1)
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // receiverRound is the sharded receiver-driven scan shared by the pull
 // flooding kernel and the lossy gossip kernel: the uninformed side is
 // split into contiguous shards — word ranges of the complement while
 // the uninformed set is large, ranges of the shrinking active-set list
-// in the straggler regime — each worker asking hit whether each of its
-// nodes receives the message this round and recording hits in its
-// shard's newly list. The informed set is only read during the scan —
+// in the straggler regime — each worker asking rt which of its nodes
+// receive the message this round and recording hits in its shard's
+// newly list. The informed set is only read during the scan —
 // hits are applied after the join, in shard order, so discoveries never
 // feed back into the same round (the paper's synchronous semantics) and
 // the result does not depend on the shard count. Both enumerations
 // visit the same nodes ascending (list shards are contiguous slices of
-// an ascending list), and hit sees one node's whole test inside one
-// shard, so the result is byte-identical either way.
-func (e *shardEngine) receiverRound(informed *bitset.Set, arrival []int32, t int, newly []int32, uninformed int, hit func(words []uint64, v int) bool) []int32 {
+// an ascending list, the complement goes word by word), and rt sees
+// one node's whole test inside one shard, so the result is
+// byte-identical either way.
+func (e *shardEngine) receiverRound(informed *bitset.Set, arrival []int32, t int, newly []int32, uninformed int, rt receiverTest) []int32 {
 	words := informed.MutableWords()
 	n := informed.Len()
 	e.reset()
 	if e.uninf.enabled(words, n, uninformed) {
 		list := e.uninf.nodes
 		par.ForBlocks(e.workers, len(list), func(shard, lo, hi int) {
-			out := e.newly[shard][:0]
-			for _, v := range list[lo:hi] {
-				if hit(words, int(v)) {
-					arrival[v] = int32(t + 1)
-					out = append(out, v)
-				}
-			}
-			e.newly[shard] = out
+			e.newly[shard] = rt.hits(words, list[lo:hi], arrival, t, e.newly[shard][:0])
 		})
 		start := len(newly)
 		newly = e.applyPull(words, newly)
@@ -196,11 +223,14 @@ func (e *shardEngine) receiverRound(informed *bitset.Set, arrival []int32, t int
 	}
 	par.ForBlocks(e.workers, e.words, func(shard, lo, hi int) {
 		out := e.newly[shard][:0]
+		var buf [64]int32
 		for wi := lo; wi < hi; wi++ {
 			rem := ^words[wi]
 			if rem == 0 {
 				continue
 			}
+			// The word's uninformed nodes, ascending.
+			cand := buf[:0]
 			base := wi * 64
 			for rem != 0 {
 				b := bits.TrailingZeros64(rem)
@@ -209,11 +239,9 @@ func (e *shardEngine) receiverRound(informed *bitset.Set, arrival []int32, t int
 				if v >= n {
 					break
 				}
-				if hit(words, v) {
-					arrival[v] = int32(t + 1)
-					out = append(out, int32(v))
-				}
+				cand = append(cand, int32(v))
 			}
+			out = rt.hits(words, cand, arrival, t, out)
 		}
 		e.newly[shard] = out
 	})

@@ -19,6 +19,10 @@ import (
 // offered new ones. Comparing its completion time and success rate
 // against ordinary flooding measures how much re-transmission the
 // dynamics actually needs.
+//
+// Like Flood, it does not Reset d, and the chain advances only between
+// evaluated rounds: on return d is positioned at the last evaluated
+// snapshot.
 func FloodParsimonious(d Dynamics, source, activeRounds, maxRounds int) FloodResult {
 	n := d.N()
 	if source < 0 || source >= n {
@@ -53,12 +57,6 @@ func FloodParsimonious(d Dynamics, source, activeRounds, maxRounds int) FloodRes
 	count := 1
 
 	for t := 0; t < maxRounds; t++ {
-		if len(active) == 0 {
-			// Every informed node has exhausted its budget: the process
-			// is dead. Record the stall by keeping the trajectory flat.
-			res.Rounds = t
-			return res
-		}
 		g := d.Graph()
 		newly = newly[:0]
 		for _, a := range active {
@@ -83,11 +81,19 @@ func FloodParsimonious(d Dynamics, source, activeRounds, maxRounds int) FloodRes
 		}
 		count += len(newly)
 		res.Trajectory = append(res.Trajectory, count)
-		d.Step()
 		if count == n {
 			res.Rounds = t + 1
 			res.Completed = true
 			return res
+		}
+		if len(active) == 0 {
+			// Every informed node has exhausted its budget: the process
+			// is dead.
+			res.Rounds = t + 1
+			return res
+		}
+		if t+1 < maxRounds {
+			d.Step()
 		}
 	}
 	res.Rounds = maxRounds

@@ -37,8 +37,8 @@ type Model struct {
 	// drawn from the stream keyed (base, node, t), so Step realizations
 	// are pure functions of the trial seed — never of iteration order
 	// or worker count.
-	base uint64
-	t    uint64
+	streams rng.Streams
+	t       uint64
 
 	// moves counts, per block of the parallel walk, the nodes whose
 	// position changed in the last step.
@@ -151,7 +151,7 @@ func (m *Model) Reset(r *rng.RNG) {
 	}
 	// The walk's counter-stream base is drawn after the positions, so
 	// the initial distribution is untouched by the stream discipline.
-	m.base = r.Uint64()
+	m.streams = rng.StreamsOf(r.Uint64())
 	m.t = 0
 	m.grid.Moved()
 }
@@ -219,7 +219,7 @@ func (m *Model) advance() int {
 	par.ForBlocks(workers, n, func(blk, lo, hi int) {
 		moved := 0
 		for u := lo; u < hi; u++ {
-			lr := rng.At(m.base, uint64(u), t)
+			lr := m.streams.At(uint64(u), t)
 			if jump < 1 && !lr.Bernoulli(jump) {
 				continue
 			}

@@ -14,10 +14,11 @@ import (
 //  1. the only randomness source is meg/internal/rng — math/rand,
 //     math/rand/v2, and crypto/rand imports are findings;
 //  2. rng streams must derive from the trial seed: a call to rng.New,
-//     rng.At, rng.Mix, rng.SeedFor, or (*rng.RNG).Seed whose arguments
-//     are all compile-time constants constructs a stream that is a
-//     function of nothing — it cannot vary with the trial seed, so
-//     every trial (and every cache key) silently shares it.
+//     rng.At, rng.StreamsOf, rng.Mix, rng.SeedFor, or (*rng.RNG).Seed
+//     whose arguments are all compile-time constants constructs a
+//     stream that is a function of nothing — it cannot vary with the
+//     trial seed, so every trial (and every cache key) silently shares
+//     it.
 //
 // Constant *components* are fine — rng.Mix(base, tagBirths, t) uses a
 // constant domain-separation tag — the finding fires only when no
@@ -31,7 +32,7 @@ var RNGDiscipline = &Analyzer{
 // seedConstructors are the internal/rng entry points that key a
 // stream. Methods are matched by receiver type below.
 var seedConstructors = map[string]bool{
-	"New": true, "At": true, "Mix": true, "SeedFor": true,
+	"New": true, "At": true, "StreamsOf": true, "Mix": true, "SeedFor": true,
 }
 
 func runRNGDiscipline(pass *Pass) error {
@@ -72,8 +73,8 @@ func runRNGDiscipline(pass *Pass) error {
 }
 
 // rngCallee returns the internal/rng stream-keying function the call
-// invokes ("New", "At", "Mix", "SeedFor", or "Seed" for the method),
-// or "" if the call is something else.
+// invokes ("New", "At", "StreamsOf", "Mix", "SeedFor", or "Seed" for
+// the method), or "" if the call is something else.
 func rngCallee(pass *Pass, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

@@ -25,7 +25,7 @@ type selfTestCase struct {
 var selfTests = []selfTestCase{
 	{"mapiter", []string{"meg/internal/core"}, 3},
 	{"mapiter", []string{"meg/internal/stats"}, 0},
-	{"rngdiscipline", []string{"meg/internal/protocol"}, 6},
+	{"rngdiscipline", []string{"meg/internal/protocol"}, 7},
 	{"rngdiscipline", []string{"meg/internal/stats"}, 0},
 	{"wallclock", []string{"meg/internal/graph"}, 3},
 	{"wallclock", []string{"meg/internal/serve"}, 0},

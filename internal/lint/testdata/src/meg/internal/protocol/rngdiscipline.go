@@ -20,6 +20,12 @@ func Decide(base uint64, u, t uint64) bool {
 	bad := rng.At(1, 2, 3) // want "only compile-time constants"
 	ok = ok || bad.Bool()
 
+	streams := rng.StreamsOf(base) // derived from the trial seed: allowed
+	sr := streams.At(u, t)
+	fixedStreams := rng.StreamsOf(7) // want "only compile-time constants"
+	fr := fixedStreams.At(u, t)
+	ok = ok || sr.Bool() || fr.Bool()
+
 	r := rng.New(42) // want "only compile-time constants"
 	r.Seed(7)        // want "only compile-time constants"
 	r.Seed(base)     // runtime seed: allowed

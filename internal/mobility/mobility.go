@@ -30,7 +30,7 @@ import (
 // Move shards over a worker pool. Implementations must keep positions
 // byte-identical for every worker count — the four core models do so
 // by drawing every node's round decisions from the counter stream
-// keyed (node, round) via rng.At, never from a shared sequential
+// keyed (node, round) via rng.Streams, never from a shared sequential
 // generator. The Dynamics adapter forwards its own parallelism knob.
 type parallelMover interface {
 	SetParallelism(workers int)
@@ -73,7 +73,7 @@ type WaypointTorus struct {
 	vmin, vmax  float64
 	pos, target []geom.Point
 	speed       []float64
-	base        uint64
+	streams     rng.Streams
 	t           uint64
 	workers     int
 }
@@ -114,7 +114,7 @@ func (w *WaypointTorus) Reset(r *rng.RNG) {
 		w.target[i] = geom.Point{X: r.Float64() * w.side, Y: r.Float64() * w.side}
 		w.speed[i] = w.legSpeed(r)
 	}
-	w.base = r.Uint64()
+	w.streams = rng.StreamsOf(r.Uint64())
 	w.t = 0
 }
 
@@ -133,7 +133,7 @@ func (w *WaypointTorus) Move() {
 			dy := shortestDelta(t.Y-p.Y, w.side)
 			d := math.Sqrt(dx*dx + dy*dy)
 			if d <= w.speed[i] {
-				lr := rng.At(w.base, uint64(i), w.t)
+				lr := w.streams.At(uint64(i), w.t)
 				w.pos[i] = t
 				w.target[i] = geom.Point{X: lr.Float64() * w.side, Y: lr.Float64() * w.side}
 				w.speed[i] = w.legSpeed(&lr)
@@ -176,7 +176,7 @@ type Billiard struct {
 	turnProb float64
 	pos      []geom.Point
 	vx, vy   []float64
-	base     uint64
+	streams  rng.Streams
 	t        uint64
 	workers  int
 }
@@ -213,7 +213,7 @@ func (b *Billiard) Reset(r *rng.RNG) {
 		b.pos[i] = geom.Point{X: r.Float64() * b.side, Y: r.Float64() * b.side}
 		b.setHeading(i, r)
 	}
-	b.base = r.Uint64()
+	b.streams = rng.StreamsOf(r.Uint64())
 	b.t = 0
 }
 
@@ -230,7 +230,7 @@ func (b *Billiard) Move() {
 	par.ForBlocks(moveWorkers(b.workers), len(b.pos), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if b.turnProb > 0 {
-				lr := rng.At(b.base, uint64(i), b.t)
+				lr := b.streams.At(uint64(i), b.t)
 				if lr.Bernoulli(b.turnProb) {
 					b.setHeading(i, &lr)
 				}
@@ -260,7 +260,7 @@ type WalkersTorus struct {
 	side       float64
 	moveRadius float64
 	pos        []geom.Point
-	base       uint64
+	streams    rng.Streams
 	t          uint64
 	workers    int
 }
@@ -291,7 +291,7 @@ func (w *WalkersTorus) Reset(r *rng.RNG) {
 	for i := range w.pos {
 		w.pos[i] = geom.Point{X: r.Float64() * w.side, Y: r.Float64() * w.side}
 	}
-	w.base = r.Uint64()
+	w.streams = rng.StreamsOf(r.Uint64())
 	w.t = 0
 }
 
@@ -301,7 +301,7 @@ func (w *WalkersTorus) Reset(r *rng.RNG) {
 func (w *WalkersTorus) Move() {
 	par.ForBlocks(moveWorkers(w.workers), len(w.pos), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			lr := rng.At(w.base, uint64(i), w.t)
+			lr := w.streams.At(uint64(i), w.t)
 			dx, dy := uniformDisk(&lr, w.moveRadius)
 			w.pos[i] = geom.Point{
 				X: geom.WrapTorus(w.pos[i].X+dx, w.side),
@@ -326,7 +326,7 @@ type RestrictedDisk struct {
 	roam    float64
 	home    []geom.Point
 	pos     []geom.Point
-	base    uint64
+	streams rng.Streams
 	t       uint64
 	workers int
 }
@@ -361,7 +361,7 @@ func (m *RestrictedDisk) Reset(r *rng.RNG) {
 	for i := range m.home {
 		m.home[i] = geom.Point{X: r.Float64() * m.side, Y: r.Float64() * m.side}
 	}
-	m.base = r.Uint64()
+	m.streams = rng.StreamsOf(r.Uint64())
 	m.t = 0
 	m.Move()
 }
@@ -372,7 +372,7 @@ func (m *RestrictedDisk) Reset(r *rng.RNG) {
 func (m *RestrictedDisk) Move() {
 	par.ForBlocks(moveWorkers(m.workers), len(m.pos), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			lr := rng.At(m.base, uint64(i), m.t)
+			lr := m.streams.At(uint64(i), m.t)
 			dx, dy := uniformDisk(&lr, m.roam)
 			m.pos[i] = geom.Point{
 				X: geom.Clamp(m.home[i].X+dx, 0, m.side),

@@ -45,22 +45,26 @@ func TestMixGoldenVectors(t *testing.T) {
 	}
 }
 
+// atGolden holds the first words of the stream keyed (base, id, t).
+var atGolden = []struct {
+	base, id, t uint64
+	want        [3]uint64
+}{
+	{1, 0, 0, [3]uint64{0xee57df1d7d5564bd, 0xca3db7fd0dcb10e6, 0x5e00df4c3db5d2c0}},
+	{1, 0, 1, [3]uint64{0xcd9fdca73086c624, 0xa08cb8ef37723418, 0x2616d612f919cdf7}},
+	{1, 1, 0, [3]uint64{0xb645bc45790b0ac2, 0xe9ae28c09ac9f2c3, 0x2ed9a648b9d92bb0}},
+	{2, 0, 0, [3]uint64{0x7c85675aed66c046, 0x7073509a1ff14a73, 0x7d5eed68bfa7f929}},
+	{11259375, 123456, 789, [3]uint64{0x13a44dd4cd511493, 0xaafdf064fadd162a, 0xfab27095306147b2}},
+}
+
 func TestAtGoldenVectors(t *testing.T) {
-	cases := []struct {
-		base, id, t uint64
-		want        [3]uint64
-	}{
-		{1, 0, 0, [3]uint64{0xee57df1d7d5564bd, 0xca3db7fd0dcb10e6, 0x5e00df4c3db5d2c0}},
-		{1, 0, 1, [3]uint64{0xcd9fdca73086c624, 0xa08cb8ef37723418, 0x2616d612f919cdf7}},
-		{1, 1, 0, [3]uint64{0xb645bc45790b0ac2, 0xe9ae28c09ac9f2c3, 0x2ed9a648b9d92bb0}},
-		{2, 0, 0, [3]uint64{0x7c85675aed66c046, 0x7073509a1ff14a73, 0x7d5eed68bfa7f929}},
-		{11259375, 123456, 789, [3]uint64{0x13a44dd4cd511493, 0xaafdf064fadd162a, 0xfab27095306147b2}},
-	}
-	for _, c := range cases {
-		r := At(c.base, c.id, c.t)
-		for i, want := range c.want {
-			if got := r.Uint64(); got != want {
-				t.Errorf("At(%d,%d,%d) word %d = %#x, want %#x", c.base, c.id, c.t, i, got, want)
+	for _, c := range atGolden {
+		// The per-run Streams derivation must give At's words too.
+		for _, r := range []RNG{At(c.base, c.id, c.t), StreamsOf(c.base).At(c.id, c.t)} {
+			for i, want := range c.want {
+				if got := r.Uint64(); got != want {
+					t.Errorf("At(%d,%d,%d) word %d = %#x, want %#x", c.base, c.id, c.t, i, got, want)
+				}
 			}
 		}
 	}
@@ -73,6 +77,30 @@ func TestAtGoldenVectors(t *testing.T) {
 			t.Fatalf("At(7,8,9) diverges from Seed(Mix(7,8,9)) at word %d", i)
 		}
 	}
+}
+
+// FuzzStreams checks StreamsOf(b).At(id, t) against the documented
+// definition, Seed(Mix(b, id, t)), over several draws and for keys
+// derived from one Streams value in turn.
+func FuzzStreams(f *testing.F) {
+	for _, c := range atGolden {
+		f.Add(c.base, c.id, c.t)
+	}
+	f.Add(uint64(0), uint64(0), uint64(0))
+	f.Add(^uint64(0), ^uint64(0), ^uint64(0))
+	f.Fuzz(func(t *testing.T, base, id, tt uint64) {
+		s := StreamsOf(base)
+		for k := uint64(0); k < 3; k++ {
+			got := s.At(id+k, tt^k)
+			var want RNG
+			want.Seed(Mix(base, id+k, tt^k))
+			for i := 0; i < 8; i++ {
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("StreamsOf(%#x).At(%#x, %#x) word %d = %#x, Seed(Mix(…)) gives %#x", base, id+k, tt^k, i, g, w)
+				}
+			}
+		}
+	})
 }
 
 func TestNewGoldenVectors(t *testing.T) {

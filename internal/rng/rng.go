@@ -292,6 +292,16 @@ func SeedFor(base uint64, idx int) uint64 {
 	return splitMix64(&s)
 }
 
+// mixStart is Mix's initial state: the √2 fraction, an arbitrary
+// non-zero start.
+const mixStart = 0x6a09e667f3bcc909
+
+// absorb folds one word into a Mix state (SplitMix64 absorption).
+func absorb(h, w uint64) uint64 {
+	h ^= w
+	return splitMix64(&h)
+}
+
 // Mix hashes a sequence of words into one well-scrambled seed
 // (SplitMix64 absorption). It is the keying primitive of counter-based
 // streams: seeding an RNG with Mix(base, id, t) gives every (entity,
@@ -299,19 +309,37 @@ func SeedFor(base uint64, idx int) uint64 {
 // of iteration order, shard layout, or worker count. The gossip engines
 // key every per-node random decision this way.
 func Mix(words ...uint64) uint64 {
-	h := uint64(0x6a09e667f3bcc909) // √2 fraction: an arbitrary non-zero start
+	h := uint64(mixStart)
 	for _, w := range words {
-		h ^= w
-		h = splitMix64(&h)
+		h = absorb(h, w)
 	}
 	return h
 }
 
-// At returns a generator for the stream keyed by (base, id, t) — see
-// Mix. The RNG is returned by value so per-node streams in hot loops
-// stay allocation-free.
-func At(base, id, t uint64) RNG {
+// Streams is the family of counter streams (base, ·, ·) of one run:
+// Mix's absorption of base, done once. Hot loops that derive a stream
+// per (node, round) take a Streams once per run, so each draw pays the
+// two remaining absorptions and the Seed expansion only.
+type Streams struct{ h uint64 }
+
+// StreamsOf returns the counter streams keyed by base.
+func StreamsOf(base uint64) Streams {
+	return Streams{absorb(mixStart, base)}
+}
+
+// At returns a generator for the stream keyed (base, id, t): the same
+// words as At(base, id, t), i.e. Seed(Mix(base, id, t)). The RNG is
+// returned by value so per-node streams in hot loops stay
+// allocation-free.
+func (s Streams) At(id, t uint64) RNG {
 	var r RNG
-	r.Seed(Mix(base, id, t))
+	r.Seed(absorb(absorb(s.h, id), t))
 	return r
+}
+
+// At returns a generator for the stream keyed by (base, id, t) — see
+// Mix. Loops that derive many streams of one base take StreamsOf(base)
+// once instead.
+func At(base, id, t uint64) RNG {
+	return StreamsOf(base).At(id, t)
 }

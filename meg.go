@@ -106,7 +106,9 @@ type ChurnHinter = core.ChurnHinter
 type Delta = graph.Delta
 
 // Flood runs the flooding process on d from the given source with a
-// round cap; see core.Flood for exact semantics.
+// round cap; see core.Flood for exact semantics. On return d is
+// positioned at the last evaluated snapshot: the chain advances only
+// between evaluated rounds, as in Gossip.
 func Flood(d Dynamics, source, maxRounds int) FloodResult {
 	return core.Flood(d, source, maxRounds)
 }
@@ -120,7 +122,8 @@ func FloodOpt(d Dynamics, source, maxRounds int, opt FloodOptions) FloodResult {
 // FloodMulti floods from every source simultaneously over one shared
 // realization of d, packing up to 64 sources per machine word so one
 // snapshot scan advances all runs at once; see core.FloodMulti for the
-// exact coupling semantics. Call Reset on d first.
+// exact coupling semantics. Call Reset on d first. On return d is
+// positioned at the last evaluated snapshot.
 func FloodMulti(d Dynamics, sources []int, maxRounds int) []FloodResult {
 	return core.FloodMulti(d, sources, maxRounds)
 }
