@@ -26,7 +26,10 @@
 //	                             BENCH file in DIR (regression table;
 //	                             thresholds come from each scenario's
 //	                             noise band over the trailing trajectory,
-//	                             falling back to a flat 20%)
+//	                             falling back to a flat 20%); DIR may be
+//	                             the -out directory: the entry just
+//	                             written is left out of the baseline and
+//	                             the bands
 //	-telemetry                   with -suite: record per-variant engine
 //	                             phase breakdowns (observation only)
 //	-cpuprofile DIR              with -suite: write one CPU profile per
@@ -60,7 +63,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "base RNG seed")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = all CPUs)")
 	parallelism := flag.Int("par", 0, "intra-trial worker count of the sharded engine (0/1 = serial, -1 = all CPUs); results are identical for every value")
-	compareDir := flag.String("compare", "", "with -suite: diff the run against the newest bench/history BENCH file in this directory and print a regression table")
+	compareDir := flag.String("compare", "", "with -suite: diff the run against the newest bench/history BENCH file in this directory and print a regression table (the run's own entry, when -out writes it there, is skipped)")
 	historyDir := flag.String("history", "", "print a per-scenario trend table across every BENCH file in this directory and exit (no experiments run)")
 	csvDir := flag.String("csv", "", "directory to write per-table CSV files (created if missing)")
 	jsonOut := flag.Bool("json", false, "emit the reports (or the BENCH file with -suite) as JSON on stdout instead of text")

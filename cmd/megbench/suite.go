@@ -17,7 +17,8 @@ import (
 // same seeds — the file is still written first, so CI can upload the
 // evidence alongside the failure. With compareDir set, the run is also
 // diffed against the newest BENCH file there (the bench/history
-// trajectory) and a regression table printed on stdout — warnings
+// trajectory; when compareDir is outDir, the file just written is left
+// out) and a regression table printed on stdout — warnings
 // only, never a failure, since runner speed drifts. The regression
 // threshold is per-scenario: each scenario's own noise band over the
 // trailing trajectory when there's enough history, the flat 20%

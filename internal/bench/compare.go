@@ -240,10 +240,23 @@ func NoiseBands(files []*File) map[string]NoiseBand {
 // CompareHistory diffs the current run against the newest trajectory
 // entry, like Compare, but flags regressions against each scenario's
 // own noise band when the trajectory is long enough to estimate one.
-// files must be chronological (LoadAll order) and non-empty.
+// files must be chronological (LoadAll order). Entries with cur's
+// GitSHA and GeneratedAt are cur itself, written into the trajectory
+// directory before the comparison: they are dropped before the
+// baseline is picked and the bands are estimated. With nothing left,
+// every scenario reads as new.
 func CompareHistory(files []*File, cur *File) Comparison {
-	c := Compare(files[len(files)-1], cur)
-	bands := NoiseBands(files)
+	var history []*File
+	for _, f := range files {
+		if f.GitSHA != cur.GitSHA || f.GeneratedAt != cur.GeneratedAt {
+			history = append(history, f)
+		}
+	}
+	if len(history) == 0 {
+		return Compare(&File{}, cur)
+	}
+	c := Compare(history[len(history)-1], cur)
+	bands := NoiseBands(history)
 	for i := range c.Diffs {
 		d := &c.Diffs[i]
 		if d.OnlyInBase || d.OnlyInCurrent {

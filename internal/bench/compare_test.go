@@ -158,3 +158,30 @@ func TestCompareHistorySkipsCompositionDiffs(t *testing.T) {
 		t.Errorf("added scenario diff = %+v", d)
 	}
 }
+
+func TestCompareHistoryDropsCurrentEntry(t *testing.T) {
+	// A suite run that writes its entry into the trajectory directory
+	// before comparing finds itself there as the newest file. It must
+	// be compared with the entry before it, under bands that leave it
+	// out, not with itself at +0.0 %.
+	files := []*File{
+		trajFile("2026-08-01T00:00:00Z", map[string]int64{"s": 1000}),
+		trajFile("2026-08-02T00:00:00Z", map[string]int64{"s": 1000}),
+		trajFile("2026-08-03T00:00:00Z", map[string]int64{"s": 1000}),
+	}
+	cur := trajFile("2026-08-04T00:00:00Z", map[string]int64{"s": 1500})
+	c := CompareHistory(append(files, cur), cur)
+	if c.BaseGenerated != "2026-08-03T00:00:00Z" {
+		t.Fatalf("baseline generatedAt = %s, want the entry before the current one", c.BaseGenerated)
+	}
+	d := c.Diffs[0]
+	if math.Abs(d.WallPct-50) > 1e-9 || !d.Regressed || d.ThresholdPct != noiseFloorPct {
+		t.Errorf("diff = %+v; want +50%% against the 1000 ns history, regressed at the %v%% floor band", d, noiseFloorPct)
+	}
+
+	// Only the current entry on file: nothing to compare against.
+	c = CompareHistory([]*File{cur}, cur)
+	if len(c.Diffs) != 1 || !c.Diffs[0].OnlyInCurrent || c.Diffs[0].Regressed {
+		t.Errorf("self-only history diffs = %+v; want the scenario reported as new", c.Diffs)
+	}
+}

@@ -75,23 +75,17 @@ func TestForBlockCellsTorus(t *testing.T) {
 	}
 }
 
-// buildCellList lays out nodes into cells with the counting-sort
-// layout (ascending node ids within each cell).
-func buildCellList(nodeCell []int32, cells int) (starts, order []int32) {
-	starts = make([]int32, cells+1)
+// cellStarts is the counting-sort form of a cell assignment: the
+// members of cell c number starts[c+1]−starts[c].
+func cellStarts(nodeCell []int32, cells int) []int32 {
+	starts := make([]int32, cells+1)
 	for _, c := range nodeCell {
 		starts[c+1]++
 	}
 	for c := 1; c <= cells; c++ {
 		starts[c] += starts[c-1]
 	}
-	order = make([]int32, len(nodeCell))
-	fill := slices.Clone(starts)
-	for u, c := range nodeCell {
-		order[fill[c]] = int32(u)
-		fill[c]++
-	}
-	return starts, order
+	return starts
 }
 
 // near reports whether cells a and b are at most one cell apart along
@@ -124,30 +118,26 @@ func TestBlocksAfterMatchesBruteForce(t *testing.T) {
 	r := rng.New(21)
 	for _, torus := range []bool{false, true} {
 		for _, k := range []int{1, 3, 6} {
-			for _, workers := range []int{1, 4} {
-				n := 300
-				mo := NewMorton(k, torus)
-				nodeCell := make([]int32, n)
-				for u := range nodeCell {
-					nodeCell[u] = int32(r.Intn(k * k))
+			n := 300
+			mo := NewMorton(k, torus)
+			nodeCell := make([]int32, n)
+			for u := range nodeCell {
+				nodeCell[u] = int32(r.Intn(k * k))
+			}
+			var b Blocks
+			b.Build(mo, cellStarts(nodeCell, k*k), nodeCell)
+			for u := 0; u < n; u += 7 {
+				cell := nodeCell[u]
+				got := b.After(cell, u)
+				want := bruteAfter(mo, torus, nodeCell, cell, u)
+				if !slices.Equal(got, want) {
+					t.Fatalf("torus=%v k=%d After(%d, %d) = %v, want %v", torus, k, cell, u, got, want)
 				}
-				starts, order := buildCellList(nodeCell, k*k)
-				var b Blocks
-				b.Build(mo, starts, order, workers)
-				for u := 0; u < n; u += 7 {
-					cell := nodeCell[u]
-					got := b.After(cell, u)
-					want := bruteAfter(mo, torus, nodeCell, cell, u)
-					if !slices.Equal(got, want) {
-						t.Fatalf("torus=%v k=%d workers=%d After(%d, %d) = %v, want %v",
-							torus, k, workers, cell, u, got, want)
-					}
-				}
-				// After(cell, -1) is the whole block, ascending.
-				for c := int32(0); c < int32(k*k); c++ {
-					if all, want := b.After(c, -1), bruteAfter(mo, torus, nodeCell, c, -1); !slices.Equal(all, want) {
-						t.Fatalf("torus=%v k=%d: block %d = %v, want %v", torus, k, c, all, want)
-					}
+			}
+			// After(cell, -1) is the whole block, ascending.
+			for c := int32(0); c < int32(k*k); c++ {
+				if all, want := b.After(c, -1), bruteAfter(mo, torus, nodeCell, c, -1); !slices.Equal(all, want) {
+					t.Fatalf("torus=%v k=%d: block %d = %v, want %v", torus, k, c, all, want)
 				}
 			}
 		}
@@ -161,12 +151,10 @@ func TestBlocksRebuildReusesBuffers(t *testing.T) {
 	mo := NewMorton(k, true)
 	var b Blocks
 	nodeCell1 := []int32{0, 0, 5, 10, 15, 15, 15}
-	s1, o1 := buildCellList(nodeCell1, k*k)
-	b.Build(mo, s1, o1, 2)
+	b.Build(mo, cellStarts(nodeCell1, k*k), nodeCell1)
 
 	nodeCell2 := []int32{3, 3, 3}
-	s2, o2 := buildCellList(nodeCell2, k*k)
-	b.Build(mo, s2, o2, 1)
+	b.Build(mo, cellStarts(nodeCell2, k*k), nodeCell2)
 	for c := int32(0); c < int32(k*k); c++ {
 		got := b.After(c, -1)
 		want := bruteAfter(mo, true, nodeCell2, c, -1)
@@ -179,9 +167,8 @@ func TestBlocksRebuildReusesBuffers(t *testing.T) {
 func TestBlocksEmptyCells(t *testing.T) {
 	// An entirely empty grid yields empty blocks everywhere.
 	k := 3
-	starts, order := buildCellList(nil, k*k)
 	var b Blocks
-	b.Build(NewMorton(k, false), starts, order, 3)
+	b.Build(NewMorton(k, false), cellStarts(nil, k*k), nil)
 	for c := int32(0); c < int32(k*k); c++ {
 		if got := b.After(c, -1); len(got) != 0 {
 			t.Fatalf("empty grid block %d = %v, want empty", c, got)

@@ -6,8 +6,10 @@
 // list in Z-order layout and answers the two questions the engines ask
 // of a geometric snapshot:
 //
-//   - the snapshot G_t itself as a CSR graph (Graph), built by a
-//     parallel sweep over the merged 3×3 blocks;
+//   - the snapshot G_t itself as a CSR graph (Graph): a sweep over the
+//     merged 3×3 blocks, run per node block on the worker pool, emits
+//     every node's upper row (its neighbors v > u, ascending), and a
+//     graph.Assembler writes the CSR from them into reused arrays;
 //   - one flooding round straight from positions, without a snapshot
 //     (IndexInformed and Spread, the core.Spreader pair).
 //
@@ -35,11 +37,12 @@ type Scans[P any] struct {
 	// Locate writes into cells[u] the cell of node u's current
 	// position, computed with Grid.Cell, for every node.
 	Locate func(cells []int32)
-	// Sweep appends the edges {u, v}, v > u, of the nodes u in [lo, hi)
-	// to srcs/dsts in ascending u, each u's partners in the order
-	// Grid.After(u) lists its candidates, and returns the extended
-	// slices (the graph.BlockSweep contract).
-	Sweep func(lo, hi int, srcs, dsts []int32) ([]int32, []int32)
+	// Sweep appends the upper rows of the nodes u in [lo, hi) to rows
+	// in ascending u — each row the candidates Grid.After(u) lists that
+	// are adjacent to u, in that order — writes each row's length into
+	// lens[u-lo], and returns the extended slice (the fill of
+	// graph.Assembler.Build).
+	Sweep func(lo, hi int, rows, lens []int32) []int32
 	// Spread appends to newly every ids[i], lo ≤ i < hi, whose position
 	// pos[i] is adjacent to some pos[j] with j inside one of the
 	// informed spans, and returns it.
@@ -65,8 +68,7 @@ type Grid[P any] struct {
 
 	// The snapshot path.
 	blocks  Blocks
-	sweep   graph.BlockSweep
-	builder *graph.Builder
+	asm     *graph.Assembler
 	g       *graph.Graph
 	dirty   bool // g is stale
 	workers int
@@ -101,12 +103,13 @@ func NewGrid[P any](pos []P, side, reach float64, torus bool, scans Scans[P]) *G
 		starts:   make([]int32, k*k+1),
 		order:    make([]int32, n),
 		nodeCell: make([]int32, n),
+		asm:      graph.NewAssembler(n),
 		dirty:    true,
 		workers:  1,
 	}
 }
 
-// SetWorkers sets the worker count of Graph's block index and sweep
+// SetWorkers sets the worker count of Graph's sweep and CSR assembly
 // (at least 1). Snapshots are byte-identical for every value.
 func (g *Grid[P]) SetWorkers(workers int) { g.workers = max(workers, 1) }
 
@@ -129,21 +132,15 @@ func (g *Grid[P]) After(u int) []int32 { return g.blocks.After(g.nodeCell[u], u)
 
 // Graph returns the snapshot: every pair the model's Sweep finds
 // adjacent among the candidates After lists. It is cached until the
-// next Moved and valid until then.
+// next Moved; the rebuild after that overwrites it in place (the same
+// *graph.Graph, in the same arrays).
 func (g *Grid[P]) Graph() *graph.Graph {
 	if !g.dirty {
 		return g.g
 	}
 	g.index()
-	if g.builder == nil {
-		g.builder = graph.NewBuilder(len(g.pos))
-	}
-	g.builder.Reset(len(g.pos))
-	g.blocks.Build(g.mo, g.starts, g.order, g.workers)
-	// Per contiguous node block into private buffers, concatenated in
-	// block order: the serial u-ascending emission, so the snapshot is
-	// byte-identical for every worker count.
-	g.g = g.sweep.Run(g.builder, g.workers, len(g.pos), g.scans.Sweep)
+	g.blocks.Build(g.mo, g.starts, g.nodeCell)
+	g.g = g.asm.Build(g.workers, g.scans.Sweep)
 	g.dirty = false
 	return g.g
 }

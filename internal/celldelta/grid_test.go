@@ -56,19 +56,21 @@ func (w *world) locate(cells []int32) {
 	}
 }
 
-func (w *world) sweep(lo, hi int, srcs, dsts []int32) ([]int32, []int32) {
+func (w *world) sweep(lo, hi int, rows, lens []int32) []int32 {
 	for u := lo; u < hi; u++ {
+		k := 0
 		for _, v := range w.grid.After(u) {
 			if w.adjacent(w.pos[u], w.pos[v]) {
-				srcs = append(srcs, int32(u))
-				dsts = append(dsts, v)
+				rows = append(rows, v)
+				k++
 				if w.record {
 					w.emitted = append(w.emitted, [2]int32{int32(u), v})
 				}
 			}
 		}
+		lens[u-lo] = int32(k)
 	}
-	return srcs, dsts
+	return rows
 }
 
 func (w *world) spread(pos []pt, ids []int32, lo, hi int32, informed []Span, newly []int32) []int32 {

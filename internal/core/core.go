@@ -31,7 +31,11 @@ import (
 // Graph returns the current G_t and Step advances G_t → G_{t+1}.
 //
 // The *graph.Graph returned by Graph is only valid until the next Step
-// or Reset call; implementations are free to reuse buffers.
+// or Reset call; implementations are free to reuse buffers, and the
+// models here do: the geometric family and the edge-MEG assemble every
+// snapshot into the same arrays behind the same pointer, so a graph
+// held across Step or Reset shows the next snapshot once Graph rebuilds
+// it. Engines copy what they keep (graph.Mutable does).
 type Dynamics interface {
 	// N returns the (fixed) number of nodes.
 	N() int
@@ -53,7 +57,9 @@ type Static struct {
 	G *graph.Graph
 }
 
-// NewStatic returns the constant dynamics that always shows g.
+// NewStatic returns the constant dynamics that always shows g. A model's
+// snapshot is rebuilt in place by its next Step or Reset, so g must not
+// come from a model that steps while the Static is in use.
 func NewStatic(g *graph.Graph) *Static { return &Static{G: g} }
 
 // N implements Dynamics.

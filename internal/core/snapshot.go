@@ -109,7 +109,7 @@ func (s *snapshotter) graphInner() *graph.Graph {
 func (s *snapshotter) mutable() *graph.Mutable { return s.mut }
 
 // mutablePool recycles the per-run graph.Mutable across engine runs —
-// the trial-level counterpart of graph.Builder's round-level recycling.
+// the trial-level counterpart of graph.Assembler's round-level recycling.
 // A pooled Mutable is fully reinitialized by Reset before reuse, so
 // pooling is invisible to results.
 var mutablePool sync.Pool

@@ -118,9 +118,11 @@ type Model struct {
 	// realizations and snapshots are byte-identical for every value.
 	parallel int
 
-	builder *graph.Builder
-	g       *graph.Graph
-	dirty   bool
+	// asm assembles the snapshot straight from edges: the ascending
+	// keys grouped by u are the upper rows.
+	asm   *graph.Assembler
+	g     *graph.Graph
+	dirty bool
 
 	// merged is the double buffer every shard writes its next slice
 	// into before it swaps with edges.
@@ -131,8 +133,6 @@ type Model struct {
 	starts []int
 	// stepFn and writeFn are Step's per-shard phases, bound in New.
 	stepFn, writeFn func(shard int)
-	// sweep holds the parallel snapshot decode's per-block buffers.
-	sweep graph.BlockSweep
 	// deltaBirths/deltaDeaths are StepDelta's concatenation buffers.
 	deltaBirths []uint64
 	deltaDeaths []uint64
@@ -186,7 +186,7 @@ func New(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{cfg: cfg, builder: graph.NewBuilder(cfg.N)}
+	m := &Model{cfg: cfg, asm: graph.NewAssembler(cfg.N)}
 	s := shardCountFor(cfg.N)
 	total := PairCount(cfg.N)
 	m.shards = make([]edgeShard, s)
@@ -255,7 +255,7 @@ func (m *Model) ExpectedChurn() float64 {
 }
 
 // SetParallelism implements core.Parallelizable: Step resamples its
-// pair-space shards and Graph decodes the snapshot on up to workers
+// pair-space shards and Graph assembles the snapshot on up to workers
 // goroutines. Because every shard draws from its own stream regardless
 // of scheduling, the realization is byte-identical for every worker
 // count. 0 or 1 runs serially; < 0 uses all CPUs.
@@ -445,23 +445,15 @@ func searchFrom(keys []uint64, lo int, key uint64) int {
 }
 
 // Graph implements core.Dynamics; it materializes the current snapshot
-// as a CSR graph, reusing internal buffers across steps. The key decode
-// and the CSR build run on the configured worker pool; per-block decode
-// buffers are concatenated in block order, so the snapshot is
-// byte-identical to a serial build for every worker count.
+// as a CSR graph with graph.Assembler, which reads the edge keys in
+// place as the upper rows. The snapshot is rebuilt into the same
+// arrays after every Step or Reset and is byte-identical for every
+// worker count.
 func (m *Model) Graph() *graph.Graph {
 	if !m.dirty {
 		return m.g
 	}
-	m.builder.Reset(m.cfg.N)
-	m.g = m.sweep.Run(m.builder, m.parallel, len(m.edges), func(lo, hi int, srcs, dsts []int32) ([]int32, []int32) {
-		for _, e := range m.edges[lo:hi] {
-			u, v := unpackPair(e)
-			srcs = append(srcs, int32(u))
-			dsts = append(dsts, int32(v))
-		}
-		return srcs, dsts
-	})
+	m.g = m.asm.BuildKeys(m.parallel, m.edges)
 	m.dirty = false
 	return m.g
 }
@@ -521,11 +513,5 @@ func appendGNPKeysRange(dst []uint64, n int, p float64, lo, hi int64, r *rng.RNG
 // distribution of the edge-MEG with marginal p̂ = p. It is used directly
 // by the Theorem 4.1 expansion experiments.
 func SampleGNP(n int, p float64, r *rng.RNG) *graph.Graph {
-	keys := appendGNPKeys(nil, n, p, r)
-	b := graph.NewBuilder(n)
-	for _, e := range keys {
-		u, v := unpackPair(e)
-		b.AddEdge(u, v)
-	}
-	return b.Build()
+	return graph.NewAssembler(n).BuildKeys(1, appendGNPKeys(nil, n, p, r))
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"meg/internal/graph"
 	"meg/internal/rng"
 )
 
@@ -16,7 +17,9 @@ import (
 // start, d = 0 giving an empty edge list), 1 to 32 steps and 1 to 8
 // workers. Both models start from the same seed; after every step the
 // edge lists and the StepDelta births and deaths must be byte-equal,
-// and at the end every shard stream must yield the same next draw.
+// the stepped model's Graph (assembled in place at its worker count)
+// must equal AddEdge + Build over the oracle's keys row for row, and
+// at the end every shard stream must yield the same next draw.
 // Inputs whose expected births per step or edge count exceed a small
 // budget are skipped. The seed corpus lives in
 // testdata/fuzz/FuzzEdgeStep and runs under plain go test.
@@ -59,6 +62,7 @@ func FuzzEdgeStep(f *testing.F) {
 		if !slices.Equal(got.edges, want.edges) {
 			t.Fatal("initial edge lists differ")
 		}
+		checkSnapshot(t, got.Graph(), n, want.edges)
 		for s := 0; s < k; s++ {
 			d := got.StepDelta()
 			births, deaths := oracleStep(want)
@@ -70,6 +74,7 @@ func FuzzEdgeStep(f *testing.F) {
 			case !slices.Equal(d.Deaths, deaths):
 				t.Fatalf("step %d: deaths differ (%d vs %d)", s, len(d.Deaths), len(deaths))
 			}
+			checkSnapshot(t, got.Graph(), n, want.edges)
 		}
 		for i := range got.shards {
 			if got.shards[i].r.Uint64() != want.shards[i].r.Uint64() {
@@ -152,4 +157,33 @@ func oracleMerge(dst, eff, survivors, births, original []uint64) ([]uint64, []ui
 		eff = append(eff, b)
 	}
 	return append(dst, survivors[si:]...), eff
+}
+
+// checkSnapshot requires g to equal the graph AddEdge + Build makes of
+// the ascending keys, row for row, with ascending and symmetric rows
+// and the same M.
+func checkSnapshot(t *testing.T, g *graph.Graph, n int, keys []uint64) {
+	t.Helper()
+	b := graph.NewBuilder(n)
+	for _, k := range keys {
+		b.AddEdge(unpackPair(k))
+	}
+	want := b.Build()
+	if g.N() != n || g.M() != want.M() || g.M() != len(keys) {
+		t.Fatalf("snapshot (n=%d, m=%d), want (n=%d, m=%d)", g.N(), g.M(), n, want.M())
+	}
+	for u := 0; u < n; u++ {
+		row := g.Neighbors(u)
+		if !slices.Equal(row, want.Neighbors(u)) {
+			t.Fatalf("row %d = %v, want %v", u, row, want.Neighbors(u))
+		}
+		for i, v := range row {
+			if i > 0 && row[i-1] >= v {
+				t.Fatalf("row %d not ascending: %v", u, row)
+			}
+			if _, ok := slices.BinarySearch(g.Neighbors(int(v)), int32(u)); !ok {
+				t.Fatalf("edge {%d,%d} missing from row %d", u, v, v)
+			}
+		}
+	}
 }

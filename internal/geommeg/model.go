@@ -2,6 +2,7 @@ package geommeg
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"meg/internal/celldelta"
@@ -86,12 +87,12 @@ func (m *Model) Config() Config { return m.cfg }
 // N implements core.Dynamics.
 func (m *Model) N() int { return m.cfg.N }
 
-// SetParallelism implements core.Parallelizable: snapshot construction
-// (the cell-list edge sweep and the CSR build) runs on up to workers
-// goroutines. The produced snapshots are byte-identical for every
-// worker count — the sweep emits edges per contiguous node block and
-// concatenates blocks in order, reproducing the serial emission order
-// exactly. 0 or 1 builds serially; < 0 uses all CPUs.
+// SetParallelism implements core.Parallelizable: the walk and snapshot
+// construction (the cell-list sweep and the CSR assembly) run on up to
+// workers goroutines. The produced snapshots are byte-identical for
+// every worker count — the sweep emits upper rows per contiguous node
+// block and graph.Assembler places every entry where a serial build
+// does. 0 or 1 builds serially; < 0 uses all CPUs.
 func (m *Model) SetParallelism(workers int) {
 	if workers == 0 {
 		workers = 1
@@ -254,8 +255,9 @@ func (m *Model) advance() int {
 
 // Graph implements core.Dynamics: it materializes the current snapshot
 // with the grid's cell-list sweep (cells of side ≥ R, 3×3 neighborhood
-// scan), O(n + m) plus the geometric cost of distance checks. Buffers
-// are reused across steps.
+// scan), O(n + m) plus the geometric cost of distance checks. The
+// snapshot is rebuilt in place, in the same arrays, after every Step
+// or Reset that moved a node.
 func (m *Model) Graph() *graph.Graph { return m.grid.Graph() }
 
 // locate is the grid's Locate scan.
@@ -266,20 +268,28 @@ func (m *Model) locate(cells []int32) {
 }
 
 // sweep is the grid's Sweep scan: each node u walks the ascending v > u
-// suffix of its block's candidates, so edges come out in ascending-u
-// order with fully sorted rows, the canonical order graph.Mutable
-// merges against.
-func (m *Model) sweep(lo, hi int, srcs, dsts []int32) ([]int32, []int32) {
+// suffix of its block's candidates, so its upper row comes out
+// ascending. The row is written without a branch per candidate: the
+// capacity grows once per row, every candidate is stored, and the
+// write cursor advances by the adjacency test's result.
+func (m *Model) sweep(lo, hi int, rows, lens []int32) []int32 {
 	for u := lo; u < hi; u++ {
 		p := m.pos[u]
-		for _, v := range m.grid.After(u) {
-			if q := m.pos[v]; m.lat.adjacent(p.x, p.y, q.x, q.y) {
-				srcs = append(srcs, int32(u))
-				dsts = append(dsts, v)
+		cand := m.grid.After(u)
+		rows = slices.Grow(rows, len(cand))
+		row := rows[len(rows) : len(rows)+len(cand)]
+		k := 0
+		for _, v := range cand {
+			q := m.pos[v]
+			row[k] = v
+			if m.lat.adjacent(p.x, p.y, q.x, q.y) {
+				k++
 			}
 		}
+		rows = rows[:len(rows)+k]
+		lens[u-lo] = int32(k)
 	}
-	return srcs, dsts
+	return rows
 }
 
 // Position returns the physical coordinates of node u.

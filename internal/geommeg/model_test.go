@@ -1,7 +1,9 @@
 package geommeg
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"meg/internal/geom"
@@ -242,20 +244,72 @@ func TestGraphAgainstBruteForce(t *testing.T) {
 		m := MustNew(cfg)
 		m.Reset(r.Split())
 		for s := 0; s < 3; s++ {
-			g := m.Graph()
-			n := cfg.N
-			for u := 0; u < n; u++ {
-				for v := u + 1; v < n; v++ {
-					want := m.lat.adjacent(m.pos[u].x, m.pos[u].y, m.pos[v].x, m.pos[v].y)
-					if got := g.HasEdge(u, v); got != want {
-						t.Fatalf("trial %d (torus=%v): edge (%d,%d) = %v, want %v",
-							trial, torus, u, v, got, want)
-					}
-				}
-			}
+			checkAgainstBruteForce(t, fmt.Sprintf("trial %d (torus=%v) step %d", trial, torus, s), m)
 			m.Step()
 		}
 	}
+}
+
+// checkAgainstBruteForce requires m's snapshot to hold exactly the
+// pairs the O(n²) distance check finds adjacent, in ascending,
+// symmetric rows, with M equal to the pair count.
+func checkAgainstBruteForce(t *testing.T, label string, m *Model) {
+	t.Helper()
+	g := m.Graph()
+	n, pairs := m.N(), 0
+	for u := 0; u < n; u++ {
+		row := g.Neighbors(u)
+		if !slices.IsSorted(row) {
+			t.Fatalf("%s: row %d not ascending: %v", label, u, row)
+		}
+		for v := 0; v < n; v++ {
+			want := v != u && m.lat.adjacent(m.pos[u].x, m.pos[u].y, m.pos[v].x, m.pos[v].y)
+			if _, got := slices.BinarySearch(row, int32(v)); got != want {
+				t.Fatalf("%s: %d in row %d = %v, want %v", label, v, u, got, want)
+			}
+			if want && v > u {
+				pairs++
+			}
+		}
+	}
+	if g.N() != n || g.M() != pairs {
+		t.Fatalf("%s: (n=%d, m=%d), want (n=%d, m=%d)", label, g.N(), g.M(), n, pairs)
+	}
+}
+
+// FuzzGeometricGraph checks the snapshot, assembled in place at a
+// fuzzed worker count, against the O(n²) distance check on generated
+// configurations: n from 2 to 401, square and torus, grids from one
+// cell to a dozen per axis, the frozen walk (a move radius below ε),
+// the lazy walk, every InitMode, 1 to 8 workers and 3 to 8 steps, so
+// the reused arrays are rebuilt over snapshots of varying size. The
+// seed corpus lives in testdata/fuzz/FuzzGeometricGraph and runs under
+// plain go test.
+func FuzzGeometricGraph(f *testing.F) {
+	f.Fuzz(func(t *testing.T, nRaw uint16, rRaw, moveRaw, epsRaw, mode, par, steps uint8, seed uint64) {
+		cfg := Config{
+			N:          2 + int(nRaw)%400,
+			R:          0.5 + float64(rRaw)/16,
+			MoveRadius: float64(moveRaw%32) / 8,
+			Eps:        0.25 + 0.75*float64(epsRaw)/255,
+			Torus:      mode&1 != 0,
+			Init:       InitMode((mode >> 1) % 3),
+		}
+		if mode&8 != 0 {
+			cfg.Jump = 0.25
+		}
+		cfg.Eps = min(cfg.Eps, cfg.R)
+		if err := cfg.Validate(); err != nil {
+			t.Skip(err)
+		}
+		m := MustNew(cfg)
+		m.SetParallelism(1 + int(par)%8)
+		m.Reset(rng.New(seed))
+		for s := 0; s < 3+int(steps)%6; s++ {
+			checkAgainstBruteForce(t, fmt.Sprintf("%+v step %d", cfg, s), m)
+			m.Step()
+		}
+	})
 }
 
 func TestAdjacentMatchesPhysicalDistance(t *testing.T) {

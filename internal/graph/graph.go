@@ -6,15 +6,12 @@
 // Snapshots use a compressed sparse row (CSR) layout: two flat slices
 // instead of per-node adjacency slices, which keeps per-step allocation
 // and GC pressure low when a simulation rebuilds the graph thousands of
-// times. A Builder can be reused across steps to recycle its buffers.
+// times. The models build every snapshot with an Assembler, which
+// writes the CSR from ascending upper rows into arrays it reuses from
+// round to round; a Builder takes an arbitrary edge list instead.
 package graph
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"meg/internal/par"
-)
+import "fmt"
 
 // Graph is an undirected graph over the node set [0, n) in CSR form.
 // Both directions of every edge are stored, so Degree and Neighbors are
@@ -102,9 +99,10 @@ func (g *Graph) AvgDegree() float64 {
 	return 2 * float64(g.mCount) / float64(g.n)
 }
 
-// Builder accumulates undirected edges and produces CSR snapshots.
-// Builders may be reused: Reset clears the edge list but keeps the
-// allocated buffers, so steady-state simulation loops allocate nothing.
+// Builder accumulates an arbitrary undirected edge list and builds it
+// into a CSR graph in fresh arrays. Builders may be reused: Reset
+// clears the edge list but keeps its buffers. The evolving-graph
+// models build their per-round snapshots with an Assembler instead.
 type Builder struct {
 	n      int
 	srcs   []int32
@@ -151,115 +149,6 @@ func (b *Builder) AddEdge(u, v int) {
 	b.dsts = append(b.dsts, int32(v))
 }
 
-// NumEdges returns the number of edges recorded so far.
-func (b *Builder) NumEdges() int { return len(b.srcs) }
-
-// AddEdgesBulk appends a batch of undirected edges {srcs[i], dsts[i]}.
-// It validates endpoints like AddEdge but amortizes the call overhead,
-// which matters when a parallel snapshot sweep hands over millions of
-// edges in per-shard buffers.
-func (b *Builder) AddEdgesBulk(srcs, dsts []int32) {
-	if len(srcs) != len(dsts) {
-		panic("graph: AddEdgesBulk length mismatch")
-	}
-	n := int32(b.n)
-	for i := range srcs {
-		u, v := srcs[i], dsts[i]
-		if u < 0 || u >= n || v < 0 || v >= n {
-			panic(fmt.Sprintf("graph: edge (%d,%d) out of range n=%d", u, v, b.n))
-		}
-		if u == v {
-			panic("graph: self-loop")
-		}
-	}
-	b.srcs = append(b.srcs, srcs...)
-	b.dsts = append(b.dsts, dsts...)
-}
-
-// AddEdgeBlocks appends the edges of every (srcs[i], dsts[i]) block in
-// block order, copying and validating blocks concurrently on up to
-// workers goroutines — the handover path for parallel snapshot sweeps,
-// whose per-shard buffers would otherwise funnel through a serial
-// append. The resulting edge list is identical to calling AddEdgesBulk
-// per block in order, for every worker count.
-func (b *Builder) AddEdgeBlocks(workers int, srcs, dsts [][]int32) {
-	if len(srcs) != len(dsts) {
-		panic("graph: AddEdgeBlocks length mismatch")
-	}
-	offs := make([]int, len(srcs)+1)
-	for i := range srcs {
-		if len(srcs[i]) != len(dsts[i]) {
-			panic("graph: AddEdgeBlocks length mismatch")
-		}
-		offs[i+1] = offs[i] + len(srcs[i])
-	}
-	base := len(b.srcs)
-	b.srcs = growInt32(b.srcs, offs[len(srcs)])
-	b.dsts = growInt32(b.dsts, offs[len(srcs)])
-	n := int32(b.n)
-	var bad atomic.Bool
-	par.Do(workers, len(srcs), func(i int) {
-		copy(b.srcs[base+offs[i]:base+offs[i+1]], srcs[i])
-		copy(b.dsts[base+offs[i]:base+offs[i+1]], dsts[i])
-		for j := range srcs[i] {
-			u, v := srcs[i][j], dsts[i][j]
-			if u < 0 || u >= n || v < 0 || v >= n || u == v {
-				bad.Store(true)
-			}
-		}
-	})
-	if bad.Load() {
-		panic("graph: AddEdgeBlocks: edge endpoint out of range or self-loop")
-	}
-}
-
-// growInt32 extends s by extra entries (contents unspecified) without
-// the intermediate allocation append(s, make(...)...) would cost.
-func growInt32(s []int32, extra int) []int32 {
-	want := len(s) + extra
-	if cap(s) >= want {
-		return s[:want]
-	}
-	ns := make([]int32, want)
-	copy(ns, s)
-	return ns
-}
-
-// BlockSweep is the reusable scaffold of a parallel snapshot sweep: it
-// owns per-block edge buffers and runs the
-// split-sweep-handover-build pipeline every evolving-graph model's
-// Graph() shares. The zero value is ready for use; buffers persist
-// across rounds so steady-state sweeps allocate nothing.
-type BlockSweep struct {
-	srcs, dsts [][]int32
-}
-
-// Run splits [0, items) into one contiguous block per worker, invokes
-// sweep on each block to fill its private buffer pair (sweep must
-// append edges in ascending block order and return the extended
-// slices), hands the blocks to b in block order, and builds the CSR
-// snapshot on the same pool. Because block concatenation reproduces the
-// serial left-to-right emission and BuildParallel is byte-identical to
-// Build, the snapshot is identical for every worker count.
-func (bs *BlockSweep) Run(b *Builder, workers, items int, sweep func(lo, hi int, srcs, dsts []int32) ([]int32, []int32)) *Graph {
-	p := workers
-	if p > items {
-		p = items
-	}
-	if p < 1 {
-		p = 1
-	}
-	if len(bs.srcs) < p {
-		bs.srcs = append(bs.srcs, make([][]int32, p-len(bs.srcs))...)
-		bs.dsts = append(bs.dsts, make([][]int32, p-len(bs.dsts))...)
-	}
-	par.ForBlocks(p, items, func(blk, lo, hi int) {
-		bs.srcs[blk], bs.dsts[blk] = sweep(lo, hi, bs.srcs[blk][:0], bs.dsts[blk][:0])
-	})
-	b.AddEdgeBlocks(p, bs.srcs[:p], bs.dsts[:p])
-	return b.BuildParallel(p)
-}
-
 // Build produces the CSR snapshot for the recorded edges using a
 // counting sort over endpoints; O(n + m) time.
 func (b *Builder) Build() *Graph {
@@ -286,69 +175,6 @@ func (b *Builder) Build() *Graph {
 		adj[cursor[v]] = u
 		cursor[v]++
 	}
-	return &Graph{n: n, offs: offs, adj: adj, mCount: m}
-}
-
-// BuildParallel is Build on a worker pool. Both the degree count and
-// the adjacency scatter are parallelized over contiguous node blocks:
-// every worker scans the full edge list but touches only the counters
-// and adjacency slots of nodes in its own block, so writes never race
-// and — because each worker visits edges in the same global order the
-// serial scatter does — the produced CSR arrays are byte-identical to
-// Build's for every worker count. The extra work is one redundant edge
-// scan per worker, which memory bandwidth absorbs long before the
-// serial build's latency does.
-//
-// workers <= 1 falls back to the serial Build.
-func (b *Builder) BuildParallel(workers int) *Graph {
-	workers = par.Workers(workers)
-	n, m := b.n, len(b.srcs)
-	// Below ~1M endpoint updates the fork/join overhead and the
-	// redundant scans cost more than the serial loop.
-	if workers <= 1 || m < 1<<19 || n == 0 {
-		return b.Build()
-	}
-	offs := make([]int32, n+1)
-	adj := make([]int32, 2*m)
-	srcs, dsts := b.srcs, b.dsts
-	counts := b.counts[:n+1]
-	par.ForBlocks(workers, n, func(_, lo, hi int) {
-		l, h := int32(lo), int32(hi)
-		// A node u in [lo, hi) increments counts[u+1], so this block
-		// owns exactly counts[lo+1 .. hi] — disjoint from its
-		// neighbors. counts[0] is never read or written.
-		for i := lo + 1; i <= hi; i++ {
-			counts[i] = 0
-		}
-		for i := 0; i < m; i++ {
-			if u := srcs[i]; u >= l && u < h {
-				//meg:shard-safe the l<=u<h guard above confines the slot to this block's counts[lo+1..hi]
-				counts[u+1]++
-			}
-			if v := dsts[i]; v >= l && v < h {
-				//meg:shard-safe the l<=v<h guard above confines the slot to this block's counts[lo+1..hi]
-				counts[v+1]++
-			}
-		}
-	})
-	for i := 0; i < n; i++ {
-		offs[i+1] = offs[i] + counts[i+1]
-	}
-	par.ForBlocks(workers, n, func(_, lo, hi int) {
-		l, h := int32(lo), int32(hi)
-		cursor := make([]int32, hi-lo)
-		copy(cursor, offs[lo:hi])
-		for i := 0; i < m; i++ {
-			if u := srcs[i]; u >= l && u < h {
-				adj[cursor[u-l]] = dsts[i]
-				cursor[u-l]++
-			}
-			if v := dsts[i]; v >= l && v < h {
-				adj[cursor[v-l]] = srcs[i]
-				cursor[v-l]++
-			}
-		}
-	})
 	return &Graph{n: n, offs: offs, adj: adj, mCount: m}
 }
 

@@ -71,7 +71,7 @@ func NewMutable(g *Graph) *Mutable {
 
 // Reset reinitializes m to a copy of g, reusing the existing backing
 // arrays wherever capacities allow — the trial-level counterpart of
-// graph.Builder's round-level recycling, which is what lets the
+// the Assembler's round-level recycling, which is what lets the
 // engines pool one Mutable across runs instead of paying a fresh
 // O(n + m) allocation each time. The spare layout is dropped (a
 // pooled Mutable never holds one sized for an earlier run), the retired

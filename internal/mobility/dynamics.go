@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"math"
+	"slices"
 
 	"meg/internal/bitset"
 	"meg/internal/celldelta"
@@ -126,19 +127,25 @@ func (d *Dynamics) locate(cells []int32) {
 }
 
 // sweep is the grid's Sweep scan: each node u walks the ascending v > u
-// suffix of its block's candidates, so edges come out in ascending-u
-// order with fully sorted rows.
-func (d *Dynamics) sweep(lo, hi int, srcs, dsts []int32) ([]int32, []int32) {
+// suffix of its block's candidates, so its upper row comes out
+// ascending; the row is written branch-free, as in geommeg's sweep.
+func (d *Dynamics) sweep(lo, hi int, rows, lens []int32) []int32 {
 	for u := lo; u < hi; u++ {
 		p := d.pos[u]
-		for _, v := range d.grid.After(u) {
+		cand := d.grid.After(u)
+		rows = slices.Grow(rows, len(cand))
+		row := rows[len(rows) : len(rows)+len(cand)]
+		k := 0
+		for _, v := range cand {
+			row[k] = v
 			if d.adjacent(p, d.pos[v]) {
-				srcs = append(srcs, int32(u))
-				dsts = append(dsts, v)
+				k++
 			}
 		}
+		rows = rows[:len(rows)+k]
+		lens[u-lo] = int32(k)
 	}
-	return srcs, dsts
+	return rows
 }
 
 // spreadCell is the grid's Spread scan: every uninformed node of

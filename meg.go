@@ -181,7 +181,8 @@ func NewMobilityDynamics(m Mobility, radius float64) Dynamics {
 }
 
 // Static wraps a fixed graph as a constant Dynamics (the paper's static
-// baseline).
+// baseline). A model's Graph is rebuilt in place by its next Step or
+// Reset, so do not step the model g came from while the Static is in use.
 func Static(g *Graph) Dynamics { return core.NewStatic(g) }
 
 // GossipProtocol selects a protocol kernel of the gossip engine.
