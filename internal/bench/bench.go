@@ -234,7 +234,9 @@ func Run(opts Options) (*File, error) {
 	return RunScenarios(Suite(), opts)
 }
 
-// RunScenarios is Run over an explicit scenario list.
+// RunScenarios is Run over an explicit scenario list. Before the first
+// selected scenario is timed, its serial variant runs once, untimed and
+// unrecorded, so that no scenario pays the process's cold start.
 func RunScenarios(scenarios []Scenario, opts Options) (*File, error) {
 	workers := par.Workers(opts.Parallelism)
 	f := &File{
@@ -252,6 +254,7 @@ func RunScenarios(scenarios []Scenario, opts Options) (*File, error) {
 		logf = func(string, ...any) {}
 	}
 	var diverged []string
+	warm := false
 	for _, sc := range scenarios {
 		if !nameMatches(sc.Name, opts.Filter) {
 			continue
@@ -263,6 +266,13 @@ func RunScenarios(scenarios []Scenario, opts Options) (*File, error) {
 		hash, err := c.Hash()
 		if err != nil {
 			return nil, fmt.Errorf("bench: scenario %s: %w", sc.Name, err)
+		}
+		if !warm {
+			warm = true
+			logf("bench: %-18s warm-up  par=1  (untimed, not recorded)", sc.Name)
+			if _, err := runVariant(c, "serial", 1, sc.DeltaVsFull, false); err != nil {
+				return nil, fmt.Errorf("bench: scenario %s (warm-up): %w", sc.Name, err)
+			}
 		}
 		res := Result{Name: sc.Name, Note: sc.Note, Model: c.Model.Name, N: c.Model.N, Hash: hash}
 		stopCPU, err := startCPUProfile(opts.CPUProfileDir, sc.Name)

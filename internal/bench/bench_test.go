@@ -2,8 +2,10 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"meg/internal/spec"
@@ -67,6 +69,49 @@ func TestRunScenariosFilter(t *testing.T) {
 	}
 	if len(f.Results) != 1 || f.Results[0].Name != "tiny-edge" {
 		t.Fatalf("filter selected %+v", f.Results)
+	}
+}
+
+// TestRunScenariosWarmsUp checks that the untimed warm-up run is
+// logged before every timed variant and leaves the entry as it was:
+// one result per selected scenario, two variants each, with the
+// checksums a direct run of each variant gives.
+func TestRunScenariosWarmsUp(t *testing.T) {
+	var lines []string
+	logf := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	f, err := RunScenarios(tinySuite()[:2], Options{Parallelism: 2, Log: logf})
+	if err != nil {
+		t.Fatalf("RunScenarios: %v", err)
+	}
+	if len(lines) != 5 || !strings.Contains(lines[0], "tiny-geom") || !strings.Contains(lines[0], "warm-up") {
+		t.Fatalf("log %q: want the tiny-geom warm-up line, then four variant lines", lines)
+	}
+	for _, l := range lines[1:] {
+		if strings.Contains(l, "warm-up") {
+			t.Fatalf("second warm-up line %q", l)
+		}
+	}
+	if len(f.Results) != 2 {
+		t.Fatalf("got %d results, want 2", len(f.Results))
+	}
+	for i, sc := range tinySuite()[:2] {
+		r := f.Results[i]
+		c, err := sc.Spec.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := runVariant(c, "serial", 1, sc.DeltaVsFull, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Name != sc.Name || len(r.Variants) != 2 || !r.Identical {
+			t.Fatalf("result %d: %s with %d variants (identical %v)", i, r.Name, len(r.Variants), r.Identical)
+		}
+		for _, v := range r.Variants {
+			if v.Checksum != want.Checksum || v.Rounds != want.Rounds {
+				t.Errorf("%s/%s: checksum %s over %d rounds, want %s over %d", r.Name, v.Variant, v.Checksum, v.Rounds, want.Checksum, want.Rounds)
+			}
+		}
 	}
 }
 

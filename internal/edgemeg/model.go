@@ -2,7 +2,8 @@ package edgemeg
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"meg/internal/graph"
 	"meg/internal/par"
@@ -287,6 +288,11 @@ func (m *Model) Reset(r *rng.RNG) {
 			sh := &m.shards[i]
 			sh.births = appendGNPKeysRange(sh.births[:0], m.cfg.N, pHat, sh.lo, sh.hi, sh.r)
 		})
+		total := 0
+		for i := range m.shards {
+			total += len(m.shards[i].births)
+		}
+		m.edges = slices.Grow(m.edges, total)
 		for i := range m.shards {
 			m.edges = append(m.edges, m.shards[i].births...)
 		}
@@ -302,7 +308,7 @@ func (m *Model) Reset(r *rng.RNG) {
 		m.cfg.Start.ForEachEdge(func(u, v int) {
 			m.edges = append(m.edges, packPair(u, v))
 		})
-		sort.Slice(m.edges, func(i, j int) bool { return m.edges[i] < m.edges[j] })
+		slices.Sort(m.edges)
 	default:
 		panic("edgemeg: unknown init mode")
 	}
@@ -319,9 +325,10 @@ func (m *Model) Reset(r *rng.RNG) {
 // on each absent pair. Deaths are drawn by skip sampling over each
 // shard's slice of the current edge list, each skip landing directly on
 // the next dying position. Expected cost O(p·C(n,2) + q·|E_t|) draws
-// and collision searches, plus one bulk copy of the untouched runs of
-// E_t, spread over the worker pool; every shard draws from its own
-// stream, so the realization does not depend on the worker count.
+// and collision searches, each draw O(1) (one logarithm, hoisted
+// log(1−p), a row-walk decode), plus one bulk copy of the untouched
+// runs of E_t, spread over the worker pool; every shard draws from its
+// own stream, so the realization does not depend on the worker count.
 func (m *Model) Step() {
 	if m.r == nil {
 		panic("edgemeg: Step before Reset")
@@ -366,8 +373,13 @@ func (m *Model) Step() {
 // layout, so no re-encoding happens.
 func (m *Model) StepDelta() graph.Delta {
 	m.Step()
-	m.deltaBirths = m.deltaBirths[:0]
-	m.deltaDeaths = m.deltaDeaths[:0]
+	nb, nd := 0, 0
+	for i := range m.shards {
+		nb += len(m.shards[i].birthsEff)
+		nd += len(m.shards[i].deaths)
+	}
+	m.deltaBirths = slices.Grow(m.deltaBirths[:0], nb)
+	m.deltaDeaths = slices.Grow(m.deltaDeaths[:0], nd)
 	for i := range m.shards {
 		m.deltaBirths = append(m.deltaBirths, m.shards[i].birthsEff...)
 		m.deltaDeaths = append(m.deltaDeaths, m.shards[i].deaths...)
@@ -378,8 +390,12 @@ func (m *Model) StepDelta() graph.Delta {
 // step samples one shard's round against its time-t slice edges and
 // records the change points; write applies them.
 func (sh *edgeShard) step(n int, p, q float64, edges []uint64) {
-	sh.edges, sh.birthsEff, sh.birthAt = edges, sh.birthsEff[:0], sh.birthAt[:0]
-	sh.deaths, sh.deathAt = sh.deaths[:0], sh.deathAt[:0]
+	// Every buffer is presized to a bound its Bernoulli count exceeds
+	// with negligible probability, so a fresh model grows none by append.
+	nb, nd := bernoulliCap(sh.hi-sh.lo, p), bernoulliCap(int64(len(edges)), q)
+	sh.edges = edges
+	sh.birthsEff, sh.birthAt = slices.Grow(sh.birthsEff[:0], nb), slices.Grow(sh.birthAt[:0], nb)
+	sh.deaths, sh.deathAt = slices.Grow(sh.deaths[:0], nd), slices.Grow(sh.deathAt[:0], nd)
 
 	// Births against the state at time t (before deaths are applied): a
 	// pair that dies this step was present at time t, so it takes no
@@ -399,7 +415,8 @@ func (sh *edgeShard) step(n int, p, q float64, edges []uint64) {
 	// Deaths: each skip lands on the next dying position. At q = 1 the
 	// skip is always 0 and draws nothing.
 	if q > 0 {
-		for i := sh.r.Geometric(q); i < int64(len(edges)); i += sh.r.Geometric(q) + 1 {
+		l := math.Log1p(-q)
+		for i := sh.r.GeometricLog(l); i < int64(len(edges)); i += sh.r.GeometricLog(l) + 1 {
 			sh.deaths = append(sh.deaths, edges[i])
 			sh.deathAt = append(sh.deathAt, int(i))
 		}
@@ -441,7 +458,23 @@ func searchFrom(keys []uint64, lo int, key uint64) int {
 		lo, hi, step = hi+1, hi+step, step*2
 	}
 	hi = min(hi, len(keys))
-	return lo + sort.Search(hi-lo, func(j int) bool { return keys[lo+j] >= key })
+	for lo < hi { // keys[:lo] < key ≤ keys[hi:]
+		mid := int(uint(lo+hi) >> 1)
+		if keys[mid] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// bernoulliCap returns a buffer size that the success count of trials
+// Bernoulli(p) trials exceeds with negligible probability: the mean
+// plus four standard deviations plus a small constant, at most trials.
+func bernoulliCap(trials int64, p float64) int {
+	mean := float64(trials) * p
+	return int(min(mean+4*math.Sqrt(mean*(1-p))+16, float64(trials)))
 }
 
 // Graph implements core.Dynamics; it materializes the current snapshot
@@ -467,7 +500,7 @@ func (m *Model) HasEdge(u, v int) bool {
 		u, v = v, u
 	}
 	key := packPair(u, v)
-	i := sort.Search(len(m.edges), func(i int) bool { return m.edges[i] >= key })
+	i := searchFrom(m.edges, 0, key)
 	return i < len(m.edges) && m.edges[i] == key
 }
 
@@ -480,33 +513,36 @@ func appendGNPKeys(dst []uint64, n int, p float64, r *rng.RNG) []uint64 {
 
 // appendGNPKeysRange is appendGNPKeys restricted to the pair-index
 // range [lo, hi): an independent Bernoulli(p) trial per pair in the
-// range, enumerated by geometric skips.
+// range, enumerated by geometric skips (at p = 1 every skip is 0 and
+// draws nothing). dst is first grown to hold the count with
+// overwhelming probability. Candidates ascend, so the decode walks the
+// rows: it keeps row u's ranks [base, end), and a candidate in row u
+// or u+1 costs a subtraction; only a longer jump pays PairAt's square
+// root, which keeps the sparse regime at one PairAt per draw.
 func appendGNPKeysRange(dst []uint64, n int, p float64, lo, hi int64, r *rng.RNG) []uint64 {
 	if p <= 0 || lo >= hi {
 		return dst
 	}
-	if p >= 1 {
-		u, v := PairAt(n, lo)
-		for k := lo; k < hi; k++ {
-			dst = append(dst, packPair(u, v))
-			v++
-			if v == n {
-				u++
-				v = u + 1
-			}
-		}
-		return dst
-	}
-	idx := lo - 1
-	for {
-		idx += r.Geometric(p) + 1
+	dst = slices.Grow(dst, bernoulliCap(hi-lo, p))
+	l := math.Log1p(-p)
+	u, base, end := -1, int64(0), int64(0) // row u spans ranks [base, end)
+	for idx := lo - 1; ; {
+		idx += r.GeometricLog(l) + 1
 		if idx >= hi {
-			break
+			return dst
 		}
-		u, v := PairAt(n, idx)
-		dst = append(dst, packPair(u, v))
+		switch {
+		case idx < end: // row u
+		case idx < end+int64(n-u-2): // row u+1, n−u−2 pairs long
+			u, base = u+1, end
+			end = base + int64(n-u-1)
+		default:
+			u, _ = PairAt(n, idx)
+			base = rowBase(n, u)
+			end = base + int64(n-u-1)
+		}
+		dst = append(dst, packPair(u, u+1+int(idx-base)))
 	}
-	return dst
 }
 
 // SampleGNP returns one Erdős–Rényi G(n, p) snapshot — the stationary

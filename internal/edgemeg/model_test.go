@@ -400,6 +400,69 @@ func TestStepAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFreshModelAllocations bounds what a fresh model allocates for
+// New + Reset + 3 × (Step + Graph) at q = ½, the shape of a campaign
+// trial: every buffer is presized from its Bernoulli count, so none
+// grows by append. Growing them by append, the two cases made 125 and
+// 5681 allocations. The counts hold for plain builds only.
+func TestFreshModelAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	for _, c := range []struct {
+		n     int
+		mult  float64 // p̂ = mult·ln n/n
+		max   float64
+		short bool
+	}{{1024, 4, 60, true}, {65536, 2, 600, false}} {
+		if testing.Short() && !c.short {
+			continue
+		}
+		pHat := c.mult * math.Log(float64(c.n)) / float64(c.n)
+		cfg := Config{N: c.n, P: 0.5 * pHat / (1 - pHat), Q: 0.5}
+		a := testing.AllocsPerRun(1, func() {
+			m := MustNew(cfg)
+			m.Reset(rng.New(3))
+			for i := 0; i < 3; i++ {
+				m.Step()
+				m.Graph()
+			}
+		})
+		if a > c.max {
+			t.Errorf("n=%d: %v allocations, want ≤ %v", c.n, a, c.max)
+		}
+	}
+}
+
+// BenchmarkStepHalf is serve-mix's edge chain: n = 1024, p̂ = 4·ln n/n,
+// q = ½, where a round redraws about half the edges.
+func BenchmarkStepHalf(b *testing.B) {
+	const n = 1024
+	pHat := 4 * math.Log(n) / n
+	m := MustNew(Config{N: n, P: 0.5 * pHat / (1 - pHat), Q: 0.5})
+	m.Reset(rng.New(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Step()
+	}
+}
+
+// BenchmarkResetStationary samples edge-sparse-64k's stationary G_0
+// (n = 65536, p̂ = 2·ln n/n, q = ½) into a fresh model, as every trial
+// of a campaign does.
+func BenchmarkResetStationary(b *testing.B) {
+	const n = 65536
+	pHat := 2 * math.Log(n) / n
+	cfg := Config{N: n, P: 0.5 * pHat / (1 - pHat), Q: 0.5}
+	r := rng.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MustNew(cfg).Reset(r)
+	}
+}
+
 func BenchmarkGNPSample(b *testing.B) {
 	r := rng.New(1)
 	n := 4096

@@ -14,6 +14,11 @@
 // between successes of a Bernoulli(q) process over the current edge
 // list. A step costs expected O(p·n² + q·|E_t|) draws and searches —
 // the churn — plus one bulk copy of the edges that did not change.
+// Each skip is O(1): the logarithm of 1−p (or 1−q) is taken once per
+// loop (rng.GeometricLog), and ascending birth candidates are decoded
+// to pairs by walking the rows, with PairAt's square root only after a
+// jump past the next row. Every buffer is presized from its Bernoulli
+// count, so a fresh model grows none by append.
 package edgemeg
 
 import "math"

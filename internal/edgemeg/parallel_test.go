@@ -1,6 +1,7 @@
 package edgemeg
 
 import (
+	"slices"
 	"testing"
 
 	"meg/internal/rng"
@@ -112,6 +113,42 @@ func TestGNPKeysRangePartition(t *testing.T) {
 		}
 		if i > 0 && keys[i-1] >= k {
 			t.Fatalf("range sample not strictly sorted at %d", i)
+		}
+	}
+}
+
+// TestGNPKeysRangeRowWalk checks the row-walk decode against
+// oracleGNPKeysRange, one PairAt per candidate, key for key and with
+// the stream left at the same place. The ranges start and end mid-row,
+// on row boundaries, in the last row (u = n−2) and at C(n,2), for
+// densities from one candidate per range to every pair.
+func TestGNPKeysRangeRowWalk(t *testing.T) {
+	for _, n := range []int{2, 3, 5, 64, 1000} {
+		total := PairCount(n)
+		var cuts []int64
+		for _, k := range []int64{0, 1, rowBase(n, 1), rowBase(n, 1) + 1, rowBase(n, n/2) + int64(n-n/2)/2,
+			rowBase(n, n-2) - 1, rowBase(n, n-2), total - 1, total} {
+			if k >= 0 && k <= total && !slices.Contains(cuts, k) {
+				cuts = append(cuts, k)
+			}
+		}
+		for _, p := range []float64{1e-6, 0.01, 0.5, 0.99, 1} {
+			for _, lo := range cuts {
+				for _, hi := range cuts {
+					if lo >= hi {
+						continue
+					}
+					seed := uint64(n)<<32 ^ uint64(lo)<<16 ^ uint64(hi)
+					got, want := rng.New(seed), rng.New(seed)
+					keys := appendGNPKeysRange(nil, n, p, lo, hi, got)
+					if ref := oracleGNPKeysRange(nil, n, p, lo, hi, want); !slices.Equal(keys, ref) {
+						t.Fatalf("n=%d p=%g [%d,%d): %d keys, want %d", n, p, lo, hi, len(keys), len(ref))
+					}
+					if got.Uint64() != want.Uint64() {
+						t.Fatalf("n=%d p=%g [%d,%d): stream left elsewhere", n, p, lo, hi)
+					}
+				}
+			}
 		}
 	}
 }

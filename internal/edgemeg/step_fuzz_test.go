@@ -15,8 +15,10 @@ import (
 // 2 to 3201 (two pair-space shards from n = 2897), p and q anywhere in
 // [0, 1] including both ends, every InitMode (InitGraph from a G(n, d)
 // start, d = 0 giving an empty edge list), 1 to 32 steps and 1 to 8
-// workers. Both models start from the same seed; after every step the
-// edge lists and the StepDelta births and deaths must be byte-equal,
+// workers. Both models start from the same seed. A stationary G_0 must
+// equal oracleStationary's sample, drawn with Geometric + PairAt per
+// candidate from a copy of the shard streams, and leave every stream
+// where the oracle's copy ends. After every step the edge lists and the StepDelta births and deaths must be byte-equal,
 // the stepped model's Graph (assembled in place at its worker count)
 // must equal AddEdge + Build over the oracle's keys row for row, and
 // at the end every shard stream must yield the same next draw.
@@ -62,6 +64,17 @@ func FuzzEdgeStep(f *testing.F) {
 		if !slices.Equal(got.edges, want.edges) {
 			t.Fatal("initial edge lists differ")
 		}
+		if cfg.Init == InitStationary {
+			keys, streams := oracleStationary(got, seed)
+			if !slices.Equal(got.edges, keys) {
+				t.Fatalf("stationary G_0 differs from the oracle (%d vs %d edges)", len(got.edges), len(keys))
+			}
+			for i := range streams {
+				if next := *got.shards[i].r; next.Uint64() != streams[i].Uint64() {
+					t.Fatalf("shard %d: Reset left the stream elsewhere than the oracle", i)
+				}
+			}
+		}
 		checkSnapshot(t, got.Graph(), n, want.edges)
 		for s := 0; s < k; s++ {
 			d := got.StepDelta()
@@ -84,6 +97,37 @@ func FuzzEdgeStep(f *testing.F) {
 	})
 }
 
+// oracleStationary returns the stationary G_0 that Reset(rng.New(seed))
+// must sample into m, and the shard streams after sampling it: it
+// splits the shard streams from the seed in shard order, as Reset does,
+// and draws each shard's range with oracleGNPKeysRange.
+func oracleStationary(m *Model, seed uint64) (keys []uint64, streams []rng.RNG) {
+	r := rng.New(seed)
+	for i := range m.shards {
+		sh, s := &m.shards[i], r.Split()
+		keys = oracleGNPKeysRange(keys, m.cfg.N, m.cfg.PHat(), sh.lo, sh.hi, s)
+		streams = append(streams, *s)
+	}
+	return keys, streams
+}
+
+// oracleGNPKeysRange is the plain skip sampler appendGNPKeysRange
+// refines: one Geometric(p) draw and one PairAt per candidate. At p = 1
+// every skip is 0 and draws nothing, so it also covers the
+// enumeration path.
+func oracleGNPKeysRange(dst []uint64, n int, p float64, lo, hi int64, r *rng.RNG) []uint64 {
+	if p <= 0 {
+		return dst
+	}
+	for idx := lo - 1; ; {
+		idx += r.Geometric(p) + 1
+		if idx >= hi {
+			return dst
+		}
+		dst = append(dst, packPair(PairAt(n, idx)))
+	}
+}
+
 // oracleStep advances m by the merge-based step Step replaced, drawing
 // from the same shard streams in the same order: per shard, every birth
 // candidate is listed, every surviving edge is copied out by a walk over
@@ -104,17 +148,8 @@ func oracleStep(m *Model) (births, deaths []uint64) {
 		edges := rest[:end]
 		rest = rest[end:]
 
-		var candidates, survivors []uint64
-		if p > 0 {
-			idx := sh.lo - 1
-			for {
-				idx += sh.r.Geometric(p) + 1
-				if idx >= sh.hi {
-					break
-				}
-				candidates = append(candidates, packPair(PairAt(n, idx)))
-			}
-		}
+		var survivors []uint64
+		candidates := oracleGNPKeysRange(nil, n, p, sh.lo, sh.hi, sh.r)
 		if q <= 0 {
 			survivors = append(survivors, edges...)
 		} else if q >= 1 {

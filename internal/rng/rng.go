@@ -209,7 +209,15 @@ func (r *RNG) Geometric(p float64) int64 {
 	if p <= 0 || p > 1 {
 		panic("rng: Geometric requires 0 < p <= 1")
 	}
-	if p == 1 {
+	return r.GeometricLog(math.Log1p(-p))
+}
+
+// GeometricLog is Geometric(p) for a precomputed l = math.Log1p(-p):
+// the same draws and the same samples, without the logarithm per call,
+// for skip loops that draw many times at one p. l = −Inf (p = 1)
+// returns 0 without drawing. l must be negative; it is not checked.
+func (r *RNG) GeometricLog(l float64) int64 {
+	if math.IsInf(l, -1) {
 		return 0
 	}
 	u := r.Float64()
@@ -217,7 +225,7 @@ func (r *RNG) Geometric(p float64) int64 {
 	for u == 0 {
 		u = r.Float64()
 	}
-	g := math.Floor(math.Log(u) / math.Log1p(-p))
+	g := math.Floor(math.Log(u) / l)
 	if g < 0 {
 		return 0
 	}

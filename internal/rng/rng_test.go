@@ -261,6 +261,31 @@ func TestGeometricPOne(t *testing.T) {
 	}
 }
 
+// TestGeometricLogMatchesGeometric checks that the hoisted-log draw
+// equals Geometric draw for draw and leaves the stream at the same
+// place, and that p = 1 (l = −Inf) returns 0 without drawing.
+func TestGeometricLogMatchesGeometric(t *testing.T) {
+	for _, p := range []float64{1e-9, 1e-6, 0.3, 0.5, 1 - 1e-12, 1} {
+		a, b := New(67), New(67)
+		l := math.Log1p(-p)
+		for i := 0; i < 1000; i++ {
+			if g, h := a.Geometric(p), b.GeometricLog(l); g != h {
+				t.Fatalf("p=%g draw %d: Geometric %d, GeometricLog %d", p, i, g, h)
+			}
+		}
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("p=%g: streams diverge after the draws", p)
+		}
+	}
+	r, fresh := New(71), New(71)
+	if g, h := r.Geometric(1), r.GeometricLog(math.Inf(-1)); g != 0 || h != 0 {
+		t.Fatalf("p = 1: Geometric %d, GeometricLog %d, want 0", g, h)
+	}
+	if r.Uint64() != fresh.Uint64() {
+		t.Fatal("p = 1 drew from the stream")
+	}
+}
+
 func TestGeometricPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -396,6 +421,16 @@ func BenchmarkGeometric(b *testing.B) {
 	var sink int64
 	for i := 0; i < b.N; i++ {
 		sink += r.Geometric(0.01)
+	}
+	_ = sink
+}
+
+func BenchmarkGeometricLog(b *testing.B) {
+	r := New(1)
+	l := math.Log1p(-0.01)
+	var sink int64
+	for i := 0; i < b.N; i++ {
+		sink += r.GeometricLog(l)
 	}
 	_ = sink
 }
